@@ -1,23 +1,28 @@
 """One benchmark episode in a fresh interpreter: set up, run, check.
 
     python3 nkbench/episode.py --workload rpc_keepalive --seed 1 [--trace]
+                               [--seconds S]
 
 Prints one JSON object: host timings, simulated metrics, work counts,
 correctness breaches and the ``sim_digest``.  With ``--trace`` the whole
 episode (set-up and run) runs under cProfile with observability enabled,
 and the object also carries self time per layer and the simulated
 per-stage latency report.  ``peak_rss_mb`` is this process's high-water
-mark, which is why every episode gets its own interpreter.
+mark after the first play, which is why every episode gets its own
+interpreter.  With ``--seconds`` the workload is played again, untraced
+and checked each time, and every play's host timings are kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import pstats
 import resource
+import signal
 import sys
 import time
 
@@ -104,10 +109,39 @@ def counts(workload) -> dict:
     }
 
 
-def run_episode(name: str, seed: int, size: str = "full",
-                trace: bool = False, corrupt: bool = False) -> dict:
-    """Set up, run and check one workload; return the episode record."""
-    kernel = [calibrate.kernel_seconds() for _ in range(calibrate.PASSES)]
+class Probes:
+    """Runs the reference probe (``calibrate.probe``) at the start and end
+    of a timed phase and every ``calibrate.EVERY_SEC`` in between, from a
+    timer signal, so it samples the host's speed at the same instants as
+    the program runs.  The probes' own time is kept apart from the
+    program's."""
+
+    def __init__(self):
+        self.times = []
+
+    def _take(self, *_args) -> None:
+        self.times.append(calibrate.probe())
+
+    def mean(self) -> float:
+        return sum(self.times) / len(self.times)
+
+    def __enter__(self):
+        self._take()
+        self.previous = signal.signal(signal.SIGALRM, self._take)
+        signal.setitimer(signal.ITIMER_REAL, calibrate.EVERY_SEC,
+                         calibrate.EVERY_SEC)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, self.previous)
+        self._take()
+
+
+def play(name: str, seed: int, size: str = "full", trace: bool = False,
+         corrupt: bool = False):
+    """Set up and run one workload; return it, its host timings and the
+    profile (``None`` untraced).  The caller checks it with ``finish``."""
     profile = None
     if trace:
         import cProfile
@@ -115,19 +149,40 @@ def run_episode(name: str, seed: int, size: str = "full",
         profile = cProfile.Profile()
         profile.enable()
     t_setup = time.perf_counter()
-    workload = WORKLOADS[name](seed, size=size, corrupt=corrupt)
-    workload.setup(observe=trace)
+    with Probes() as setup_probes:
+        workload = WORKLOADS[name](seed, size=size, corrupt=corrupt)
+        workload.setup(observe=trace)
     t_run = time.perf_counter()
     cpu_run = time.process_time()
     events_run = workload.sim.events_processed
-    workload.run()
-    run_wall = time.perf_counter() - t_run
-    run_cpu = time.process_time() - cpu_run
+    with Probes() as run_probes:
+        workload.run()
+    run_wall = time.perf_counter() - t_run - sum(run_probes.times)
+    run_cpu = time.process_time() - cpu_run - sum(run_probes.times)
     if profile is not None:
         profile.disable()
-    kernel += [calibrate.kernel_seconds() for _ in range(calibrate.PASSES)]
-    breaches = workload.finish()
+    timing = {"setup_s": t_run - t_setup - sum(setup_probes.times),
+              "setup_probe_s": setup_probes.mean(),
+              "run_wall_s": run_wall,
+              "run_cpu_s": run_cpu,
+              "run_events": workload.sim.events_processed - events_run,
+              "run_probe_s": run_probes.mean()}
+    return workload, timing, profile
 
+
+def run_episode(name: str, seed: int, size: str = "full",
+                trace: bool = False, corrupt: bool = False,
+                seconds: float = 0.0) -> dict:
+    """Set up, run and check one workload; return the episode record.
+
+    With ``seconds`` the same workload is then played again, untraced,
+    while another play still fits in that much wall time since the
+    start; every play is checked, must give the first one's digest, and
+    adds its host timings to ``record["plays"]``."""
+    started = time.perf_counter()
+    workload, timing, profile = play(name, seed, size, trace, corrupt)
+    breaches = workload.finish()
+    timing.update(attempted=workload.attempted, failed=workload.failed)
     latencies = sorted(workload.latencies)
     ops = workload.completed
     sim_duration = workload.ops_end_at - workload.run_started_at
@@ -143,12 +198,12 @@ def run_episode(name: str, seed: int, size: str = "full",
         "completed": ops,
         "failed": workload.failed,
         "breaches": breaches,
-        "setup_s": t_run - t_setup,
-        "run_wall_s": run_wall,
-        "run_cpu_s": run_cpu,
-        "run_events": workload.sim.events_processed - events_run,
-        "kernel_s": kernel,
-        "host_scale": calibrate.host_scale(kernel),
+        "setup_s": timing["setup_s"],
+        "run_wall_s": timing["run_wall_s"],
+        "run_cpu_s": timing["run_cpu_s"],
+        "run_events": timing["run_events"],
+        "setup_probe_s": timing["setup_probe_s"],
+        "run_probe_s": timing["run_probe_s"],
         "peak_rss_mb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "sim": {
@@ -177,6 +232,24 @@ def run_episode(name: str, seed: int, size: str = "full",
             stage["stage"]: {"p50_us": stage["p50_us"],
                              "cycles": stage["cycles"]}
             for stage in report["stages"]}
+    del workload
+    plays = [timing]
+    longest = time.perf_counter() - started
+    while time.perf_counter() - started + longest <= seconds:
+        began = time.perf_counter()
+        gc.collect()
+        again, timing, _ = play(name, seed, size)
+        for breach in again.finish():
+            record["breaches"].append(f"play {len(plays)}: {breach}")
+        timing.update(attempted=again.attempted, failed=again.failed)
+        digest = sim_digest(again, sorted(again.latencies))
+        if digest != record["sim_digest"]:
+            record["breaches"].append(
+                f"play {len(plays)}: sim_digest {digest} differs")
+        del again
+        plays.append(timing)
+        longest = max(longest, time.perf_counter() - began)
+    record["plays"] = plays
     return record
 
 
@@ -186,9 +259,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--size", default="full", choices=("full", "tiny"))
     parser.add_argument("--trace", action="store_true")
+    parser.add_argument("--seconds", type=float, default=0.0,
+                        help="play the workload again until this much "
+                             "wall time has passed")
     args = parser.parse_args(argv)
     record = run_episode(args.workload, args.seed, size=args.size,
-                         trace=args.trace)
+                         trace=args.trace, seconds=args.seconds)
     print(json.dumps(record, sort_keys=True))
     return 0
 

@@ -4,16 +4,16 @@
 
 Each episode (set-up, run, output check) runs in a fresh interpreter
 (``episode.py``), because peak RSS is a process high-water mark and the
-NQE pool is process-global.  Episodes repeat until ``--seconds`` of wall
-time have passed (at least :data:`MIN_EPISODES`); host metrics are the
-median over episodes of host times scaled to a nominal host by the
-reference kernel in ``calibrate.py``.  Every episode of one seed must
-produce the same ``sim_digest``.
+NQE pool is process-global.  Every play of one seed must produce the
+same ``sim_digest``.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
-untraced and traced (cProfile + observability) episodes and reports the
-per-layer metrics, the tracing overhead, and checks that the digest is
-the same traced and untraced and changes with the seed.
+``--trace 0`` runs one episode that plays the workload again and again
+for ``--seconds`` and reports the end-to-end metrics: medians over plays
+of host times scaled by the reference probe in ``calibrate.py``.
+``--trace 1`` alternates untraced and traced (cProfile + observability)
+episodes of one play each and reports the per-layer metrics, the tracing
+overhead, and checks that the digest is the same traced and untraced and
+changes with the seed.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  The exit code is non-zero if
@@ -37,8 +37,15 @@ from layers import LAYERS
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOAD_NAMES = ("rpc_keepalive", "bulk_stream", "fleet_churn")
-MIN_EPISODES = 3
 EPISODE_TIMEOUT_S = 150
+#: glibc malloc settings for episodes: never trim the heap, and take
+#: blocks up to 32 MiB (glibc's largest allowed threshold) from it rather
+#: than from mmap.  Then the first play faults its memory in and later
+#: plays reuse it.  With glibc's dynamic thresholds the number of plays
+#: that fault ~800 MiB back in (fleet_churn) varies from 3 to all, which
+#: moved a run's median by 1.7x.
+MALLOC_ENV = {"MALLOC_TRIM_THRESHOLD_": str(1 << 40),
+              "MALLOC_MMAP_THRESHOLD_": str(1 << 25)}
 
 #: End-to-end metrics: name -> unit.
 END_TO_END = {
@@ -84,16 +91,17 @@ class BenchError(RuntimeError):
 
 
 def run_episode(workload: str, seed: int, trace: bool = False,
-                size: str = "full") -> dict:
+                size: str = "full", seconds: float = 0.0) -> dict:
     """Run one episode in a fresh interpreter and return its record."""
     cmd = [sys.executable, os.path.join(HERE, "episode.py"),
-           "--workload", workload, "--seed", str(seed), "--size", size]
+           "--workload", workload, "--seed", str(seed), "--size", size,
+           "--seconds", repr(seconds)]
     if trace:
         cmd.append("--trace")
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED="0", **MALLOC_ENV)
     try:
         proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
-                              text=True, timeout=EPISODE_TIMEOUT_S)
+                              text=True, timeout=seconds + EPISODE_TIMEOUT_S)
     except subprocess.TimeoutExpired as exc:
         raise BenchError(f"{workload} episode timed out") from exc
     if proc.returncode != 0 or not proc.stdout.strip():
@@ -102,16 +110,31 @@ def run_episode(workload: str, seed: int, trace: bool = False,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def end_to_end(records) -> dict:
-    """The end-to-end metrics of one run of untraced episodes."""
-    sim = records[0]["sim"]
+def speed(workload: str, probe_s: float) -> float:
+    """Factor that maps host time of ``workload`` measured alongside
+    probes of mean time ``probe_s`` onto the calm host."""
+    return ((calibrate.NOMINAL_S / probe_s)
+            ** calibrate.ELASTICITY[workload])
+
+
+def scaled(workload: str, play, key: str) -> float:
+    """A play's host time ``key`` mapped onto the calm host by the probes
+    run during the same phase."""
+    phase = "setup" if key == "setup_s" else "run"
+    return play[key] * speed(workload, play[f"{phase}_probe_s"])
+
+
+def end_to_end(record) -> dict:
+    """The end-to-end metrics of one untraced episode."""
+    sim = record["sim"]
+    plays = record["plays"]
+    name = record["workload"]
     values = {
-        "ops_per_s": median(
-            r["completed"] / (r["run_wall_s"] * r["host_scale"])
-            for r in records),
-        "cpu_s": median(r["run_cpu_s"] * r["host_scale"] for r in records),
-        "setup_s": median(r["setup_s"] * r["host_scale"] for r in records),
-        "peak_rss_mb": median(r["peak_rss_mb"] for r in records),
+        "ops_per_s": record["completed"] / median(
+            scaled(name, play, "run_wall_s") for play in plays),
+        "cpu_s": median(scaled(name, play, "run_cpu_s") for play in plays),
+        "setup_s": median(scaled(name, play, "setup_s") for play in plays),
+        "peak_rss_mb": record["peak_rss_mb"],
         "sim_ops_per_s": sim["ops_per_s"],
         "sim_goodput_gbps": sim["goodput_gbps"],
         "sim_lat_p50_us": sim["lat_p50_us"],
@@ -125,15 +148,16 @@ def end_to_end(records) -> dict:
 def per_layer(plain, traced) -> dict:
     """The per-layer metrics of a traced run (medians over pairs)."""
     first = traced[0]
+    workload = first["workload"]
     work = first["counts"]
     ops = max(1, first["completed"])
-    values = {f"{layer}.self_s": median(r["self_s"][layer] * r["host_scale"]
-                                        for r in traced)
-              for layer in LAYERS}
+    values = {f"{layer}.self_s": median(
+        r["self_s"][layer] * speed(workload, r["run_probe_s"])
+        for r in traced) for layer in LAYERS}
     values.update({
         "sim.events_per_op": first["run_events"] / ops,
         "sim.host_us_per_event": median(
-            r["run_wall_s"] * r["host_scale"] / max(1, r["run_events"]) * 1e6
+            scaled(workload, r, "run_wall_s") / max(1, r["run_events"]) * 1e6
             for r in plain),
         "stack.tcp.segments_per_op": work["segments"] / ops,
         "stack.tcp.retransmissions": first["retransmissions"],
@@ -148,14 +172,14 @@ def per_layer(plain, traced) -> dict:
             1, work["nqe_allocated"] + work["nqe_reused"]),
         "mem.hugepages.allocs_per_op": work["hugepage_allocs"] / ops,
         "boot.us_per_vm": median(
-            r["setup_s"] * r["host_scale"] / r["counts"]["vms"] * 1e6
+            scaled(workload, r, "setup_s") / r["counts"]["vms"] * 1e6
             for r in plain),
         "cycles.vms_per_op": work["cycles"]["vms"] / ops,
         "cycles.nsms_per_op": work["cycles"]["nsms"] / ops,
         "cycles.ce_per_op": work["cycles"]["coreengine"] / ops,
         "trace.overhead_s": median(
-            (t["setup_s"] + t["run_wall_s"]) * t["host_scale"]
-            - (p["setup_s"] + p["run_wall_s"]) * p["host_scale"]
+            scaled(workload, t, "setup_s") + scaled(workload, t, "run_wall_s")
+            - scaled(workload, p, "setup_s") - scaled(workload, p, "run_wall_s")
             for p, t in zip(plain, traced)),
     })
     for stage in STAGES:
@@ -183,7 +207,9 @@ def problems(records, seed_digests=None) -> list:
 def report(workload, seed, records, metrics, found, out) -> None:
     """Human-readable summary (everything but the final JSON line)."""
     sim = records[0]["sim"]
+    plays = [play for r in records if not r["trace"] for play in r["plays"]]
     print(f"workload {workload}  seed {seed}  episodes {len(records)}  "
+          f"untraced plays {len(plays)}  "
           f"sim_digest {records[0]['sim_digest']}", file=out)
     print(f"  tail percentile p{sim['tail_percentile']:g} "
           f"({sim['tail_beyond']} samples beyond)", file=out)
@@ -191,15 +217,13 @@ def report(workload, seed, records, metrics, found, out) -> None:
     if lateness:
         print(f"  generator lateness p50 {median(lateness):.3f} us, "
               f"max {max(lateness):.3f} us", file=out)
-    plain = [r for r in records if not r["trace"]]
-    rates = sorted(r["completed"] / r["run_wall_s"] for r in plain)
-    print(f"  unscaled ops_per_s over {len(rates)} untraced episodes: "
-          f"min {rates[0]:.1f}  median {median(rates):.1f}  "
-          f"max {rates[-1]:.1f}", file=out)
-    kernel = median(min(r["kernel_s"]) for r in plain)
-    print(f"  reference kernel fastest pass, median over episodes "
-          f"{kernel * 1e3:.2f} ms "
-          f"(nominal {calibrate.NOMINAL_S * 1e3:.2f} ms)", file=out)
+    rates = sorted(records[0]["completed"] / play["run_wall_s"]
+                   for play in plays)
+    print(f"  unscaled ops_per_s of untraced plays: min {rates[0]:.1f}  "
+          f"median {median(rates):.1f}  max {rates[-1]:.1f}", file=out)
+    probe = median(play["run_probe_s"] for play in plays)
+    print(f"  reference probe, median over plays {probe * 1e3:.4f} ms "
+          f"(nominal {calibrate.NOMINAL_S * 1e3:.4f} ms)", file=out)
     attempted = records[0]["attempted"]
     print(f"  fail_ratio {records[0]['failed'] / max(1, attempted):.6f} "
           f"ratio", file=out)
@@ -220,17 +244,22 @@ def main(argv=None) -> int:
                         help="input size (tiny is for the self-tests)")
     args = parser.parse_args(argv)
 
-    started = time.perf_counter()
+    started = now = time.perf_counter()
     plain, traced = [], []
+    longest = 0.0
+    seed_digests = None
     try:
-        while (len(plain) < (1 if args.trace else MIN_EPISODES)
-               or time.perf_counter() - started < args.seconds):
+        if not args.trace:
+            plain.append(run_episode(args.workload, args.seed,
+                                     size=args.size, seconds=args.seconds))
+        while args.trace and (not plain
+                              or now - started + longest <= args.seconds):
             plain.append(run_episode(args.workload, args.seed,
                                      size=args.size))
-            if args.trace:
-                traced.append(run_episode(args.workload, args.seed,
-                                          trace=True, size=args.size))
-        seed_digests = None
+            traced.append(run_episode(args.workload, args.seed,
+                                      trace=True, size=args.size))
+            longest = max(longest, time.perf_counter() - now)
+            now = time.perf_counter()
         if args.trace:
             seed_digests = [
                 run_episode(args.workload, seed, size="tiny")["sim_digest"]
@@ -242,12 +271,13 @@ def main(argv=None) -> int:
     records = plain + traced
     found = problems(records, seed_digests)
     metrics = (per_layer(plain, traced) if args.trace
-               else end_to_end(plain))
+               else end_to_end(plain[0]))
     report(args.workload, args.seed, records, metrics, found, sys.stdout)
     result = {
         "correct": not found,
-        "attempted": sum(r["attempted"] for r in records),
-        "failed": sum(r["failed"] for r in records),
+        "attempted": sum(play["attempted"] for r in records
+                         for play in r["plays"]),
+        "failed": sum(play["failed"] for r in records for play in r["plays"]),
         "metrics": metrics,
     }
     print(json.dumps(result, sort_keys=True))

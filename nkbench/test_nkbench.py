@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import calibrate
 import episode
 import run
 from workloads import WORKLOADS
@@ -66,3 +67,32 @@ def test_digest_repeats_per_seed_and_changes_with_it(workload):
     assert first["sim_digest"] != other["sim_digest"]
     assert not run.problems([first, again])
     assert run.problems([first, other])
+
+
+def test_host_times_are_scaled_by_the_probe_and_take_the_median():
+    def play(wall, probe_ratio):
+        probe_s = calibrate.NOMINAL_S * probe_ratio
+        return {"run_wall_s": wall, "run_cpu_s": wall, "setup_s": wall / 10,
+                "run_probe_s": probe_s, "setup_probe_s": probe_s}
+
+    # The probes of the second play ran 2x slow, and the program slowed
+    # by the workload's elasticity.
+    elasticity = calibrate.ELASTICITY["fleet_churn"]
+    plays = [play(1.0, 1.0), play(2.0 ** elasticity, 2.0), play(1.2, 1.0)]
+    record = {"workload": "fleet_churn", "completed": 100, "plays": plays,
+              "peak_rss_mb": 1.0,
+              "sim": dict.fromkeys(("ops_per_s", "goodput_gbps",
+                                    "lat_p50_us", "lat_tail_us",
+                                    "cycles_per_op"), 1.0)}
+    metrics = run.end_to_end(record)
+    assert metrics["ops_per_s"]["value"] == pytest.approx(100.0)
+    assert metrics["cpu_s"]["value"] == pytest.approx(1.0)
+    assert metrics["setup_s"]["value"] == pytest.approx(0.1)
+
+
+def test_replays_are_checked_and_timed():
+    record = episode.run_episode("rpc_keepalive", 3, size="tiny", seconds=1)
+    assert len(record["plays"]) > 1
+    assert record["breaches"] == []
+    assert all(play["run_events"] == record["run_events"]
+               for play in record["plays"])
