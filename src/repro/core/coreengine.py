@@ -1113,28 +1113,21 @@ class CoreEngine:
                     room = batch_size - filled
                     if room == 0:
                         break
-                    count = ring._count
-                    if count == 0:
+                    queued = ring._items
+                    if not queued:
                         continue
                     # One ownership check per drain; the per-item
                     # operations below run unchecked.
                     if ring._consumer is not self:
                         ring.claim_consumer(self)
-                    if count == 1:
+                    if len(queued) == 1:
                         # Single-element drain (the common case under
                         # fine-grained doorbells), inlined from
                         # SpscRing.drain_into.
-                        head = ring._head
-                        slots = ring._slots
-                        item = slots[head]
-                        slots[head] = None
-                        head += 1
-                        ring._head = 0 if head == ring.capacity else head
-                        ring._count = 0
                         ring.consumed += 1
                         if len(scratch) <= filled:
                             scratch.append(None)
-                        scratch[filled] = item
+                        scratch[filled] = queued.popleft()
                         filled += 1
                     else:
                         filled += ring.drain_into(scratch, room,
@@ -1327,7 +1320,8 @@ class CoreEngine:
         if target_reg is not None and not target_reg.active:
             self._drop_nqe(nqe)
             return True
-        count = ring._count
+        queued = ring._items
+        count = len(queued)
         if count == ring.capacity:
             # Leave the full-ring rejection accounting and the bounded
             # stall to the slow path, so counters match the scalar loop.
@@ -1337,12 +1331,8 @@ class CoreEngine:
         # SpscRing.try_push inlined (fullness and ownership are already
         # settled above): this runs once per switched NQE and the call
         # overhead is measurable at switching rates.
-        tail = ring._tail
-        ring._slots[tail] = nqe
-        tail += 1
-        ring._tail = 0 if tail == ring.capacity else tail
+        queued.append(nqe)
         count += 1
-        ring._count = count
         ring.produced += 1
         if count > ring.peak_depth:
             ring.peak_depth = count

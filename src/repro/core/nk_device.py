@@ -135,9 +135,9 @@ class NKDevice:
         vm = self.role == ROLE_VM
         for qs in self.queue_sets:
             if vm:
-                if qs.completion._count or qs.receive._count:
+                if qs.completion._items or qs.receive._items:
                     return True
-            elif qs.job._count or qs.send._count:
+            elif qs.job._items or qs.send._items:
                 return True
         return False
 
@@ -147,9 +147,9 @@ class NKDevice:
         vm = self.role == ROLE_VM
         for qs in self.queue_sets:
             if vm:
-                if qs.job._count or qs.send._count:
+                if qs.job._items or qs.send._items:
                     return True
-            elif qs.completion._count or qs.receive._count:
+            elif qs.completion._items or qs.receive._items:
                 return True
         return False
 

@@ -75,7 +75,7 @@ class _HandoffInbox:
 
     def push(self, ring, nqe, device) -> None:
         r = self.ring
-        if self.spill or r.capacity - r._count < 3:
+        if self.spill or r.capacity - len(r._items) < 3:
             self.spill.append((ring, nqe, device))
             return
         r.try_push(ring)
@@ -157,7 +157,7 @@ class _ShardEngine(CoreEngine):
         ring = inbox.ring
         spill = inbox.spill
         scratch = self._handoff_scratch
-        while ring._count or spill:
+        while ring._items or spill:
             n = ring.drain_into(scratch, _HANDOFF_DRAIN)
             if n:
                 for i in range(0, n, 3):

@@ -5,10 +5,17 @@ producer and one consumer (§3, "Scalable Lockless Queues").  We model that
 discipline explicitly: a ring is *claimed* by one producer identity and one
 consumer identity, and any second party touching the same end is a bug the
 simulation surfaces immediately rather than a silent race.
+
+Storage follows occupancy, not capacity: items live in one
+``collections.deque`` bounded by an explicit length check against
+``capacity`` (never ``maxlen``, which would drop items silently).  An
+idle ring costs one empty deque however large its logical capacity.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
 from typing import Any, List, Optional
 
 from repro.errors import ResourceError, RingEmptyError, RingFullError
@@ -22,10 +29,8 @@ class SpscRing:
             raise ResourceError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._slots: List[Any] = [None] * capacity
-        self._head = 0  # next slot to consume
-        self._tail = 0  # next slot to produce
-        self._count = 0
+        #: Queued items, oldest at the left; ``len`` is the depth.
+        self._items: deque = deque()
         self._producer: Optional[object] = None
         self._consumer: Optional[object] = None
         # Lifetime statistics.
@@ -71,19 +76,19 @@ class SpscRing:
     # -- state ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._items)
 
     @property
     def empty(self) -> bool:
-        return self._count == 0
+        return not self._items
 
     @property
     def full(self) -> bool:
-        return self._count == self.capacity
+        return len(self._items) == self.capacity
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - self._count
+        return self.capacity - len(self._items)
 
     # -- produce ---------------------------------------------------------------
 
@@ -107,25 +112,21 @@ class SpscRing:
         """Return the windowed occupancy high-watermark and restart the
         window at the current depth (the overload detector's sampler)."""
         hwm = self.hwm_depth
-        self.hwm_depth = self._count
+        self.hwm_depth = len(self._items)
         return hwm
 
     def try_push(self, item: Any, owner: Optional[object] = None) -> bool:
         """Push one item; returns False (and counts a rejection) if full."""
         if owner is not None and self._producer is not owner:
             self.claim_producer(owner)
-        count = self._count
-        if count == self.capacity:
+        queued = self._items
+        depth = len(queued)
+        if depth == self.capacity:
             self._note_full()
             return False
-        tail = self._tail
-        self._slots[tail] = item
-        tail += 1
-        self._tail = 0 if tail == self.capacity else tail
-        count += 1
-        self._count = count
+        queued.append(item)
         self.produced += 1
-        self._note_depth(count)
+        self._note_depth(depth + 1)
         return True
 
     def push(self, item: Any, owner: Optional[object] = None) -> None:
@@ -142,14 +143,21 @@ class SpscRing:
 
         ``count`` pushes only ``items[:count]`` without materializing the
         slice: pass a reusable scratch list plus the valid-prefix length
-        and the call is iterator-free and allocation-free (the vectorized
-        producer fast path).
+        (the vectorized producer fast path).  A ``count`` beyond
+        ``len(items)`` is a caller bug and raises :class:`ResourceError`
+        before anything is pushed.
         """
         if owner is not None and self._producer is not owner:
             self.claim_producer(owner)
-        n = len(items) if count is None else count
-        depth = self._count
-        free = self.capacity - depth
+        n = len(items)
+        if count is not None:
+            if count > n:
+                raise ResourceError(
+                    f"{self.name}: push_batch count {count} exceeds "
+                    f"{n} items")
+            n = count
+        queued = self._items
+        free = self.capacity - len(queued)
         if n > free:
             # One rejection per overflowing batch, matching the scalar
             # loop's behaviour of counting the first refused element.
@@ -157,19 +165,9 @@ class SpscRing:
             n = free
         if n <= 0:
             return 0
-        capacity = self.capacity
-        tail = self._tail
-        slots = self._slots
-        for i in range(n):
-            slots[tail] = items[i]
-            tail += 1
-            if tail == capacity:
-                tail = 0
-        self._tail = tail
-        depth += n
-        self._count = depth
+        queued.extend(items if n == len(items) else islice(items, n))
         self.produced += n
-        self._note_depth(depth)
+        self._note_depth(len(queued))
         return n
 
     # -- consume -----------------------------------------------------------------
@@ -178,16 +176,10 @@ class SpscRing:
         """Pop the oldest item, or return None when empty."""
         if owner is not None and self._consumer is not owner:
             self.claim_consumer(owner)
-        if self._count == 0:
+        if not self._items:
             return None
-        head = self._head
-        slots = self._slots
-        item = slots[head]
-        slots[head] = None
-        self._head = head + 1 if head + 1 < self.capacity else 0
-        self._count -= 1
         self.consumed += 1
-        return item
+        return self._items.popleft()
 
     def pop(self, owner: Optional[object] = None) -> Any:
         """Pop the oldest item; raises :class:`RingEmptyError` when empty.
@@ -212,23 +204,14 @@ class SpscRing:
             self.claim_consumer(owner)
         if max_items < 0:
             raise ResourceError(f"negative batch: {max_items}")
-        count = self._count
-        if count == 0 or max_items == 0:
+        queued = self._items
+        if not queued or max_items == 0:
             return []
         self.list_allocs += 1
-        take = max_items if max_items < count else count
-        batch: List[Any] = []
-        head = self._head
-        slots = self._slots
-        capacity = self.capacity
-        for _ in range(take):
-            batch.append(slots[head])
-            slots[head] = None
-            head = (head + 1) % capacity
-        self._head = head
-        self._count = count - take
+        take = min(max_items, len(queued))
+        popleft = queued.popleft
         self.consumed += take
-        return batch
+        return [popleft() for _ in range(take)]
 
     def drain_into(self, buf: List[Any], max_items: int,
                    owner: Optional[object] = None, start: int = 0) -> int:
@@ -243,24 +226,23 @@ class SpscRing:
             self.claim_consumer(owner)
         if max_items < 0:
             raise ResourceError(f"negative batch: {max_items}")
-        count = self._count
-        take = max_items if max_items < count else count
-        if take <= 0:
+        queued = self._items
+        if not queued:
+            return 0
+        take = len(queued)
+        if max_items < take:
+            take = max_items
+        if take == 0:
             return 0
         need = start + take
         if len(buf) < need:
             buf.extend([None] * (need - len(buf)))
-        head = self._head
-        slots = self._slots
-        capacity = self.capacity
-        for i in range(start, need):
-            buf[i] = slots[head]
-            slots[head] = None
-            head += 1
-            if head == capacity:
-                head = 0
-        self._head = head
-        self._count = count - take
+        if take == 1:
+            buf[start] = queued.popleft()
+        else:
+            popleft = queued.popleft
+            for i in range(start, need):
+                buf[i] = popleft()
         self.consumed += take
         return take
 
@@ -268,18 +250,15 @@ class SpscRing:
         """The oldest item without consuming it, or None when empty."""
         if owner is not None and self._consumer is not owner:
             self.claim_consumer(owner)
-        if self.empty:
-            return None
-        return self._slots[self._head]
+        return self._items[0] if self._items else None
 
     def snapshot(self) -> List[Any]:
         """All queued items, oldest first, without consuming anything.
 
         Inspection only (migration quiescence checks, tests): bypasses the
-        ownership discipline because it moves no cursor and mutates no slot.
+        ownership discipline because it consumes nothing.
         """
-        return [self._slots[(self._head + i) % self.capacity]
-                for i in range(self._count)]
+        return list(self._items)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SpscRing {self.name} {self._count}/{self.capacity}>"
+        return f"<SpscRing {self.name} {len(self._items)}/{self.capacity}>"

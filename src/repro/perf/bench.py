@@ -128,15 +128,15 @@ def _mux_workload(scan: str, n_vms: int, active_vms: int,
             if backlog:
                 pushed = False
                 cap = completion_ring.capacity
-                while backlog and completion_ring._count < cap:
+                while backlog and len(completion_ring._items) < cap:
                     completion_ring.try_push(backlog.popleft(), owner=owner)
                     pushed = True
                 if pushed:
                     nsm_dev.ring_doorbell()
                     progressed = True
             n = (job_ring.drain_into(scratch, 64, owner=owner)
-                 if job_ring._count else 0)
-            if send_ring._count:
+                 if job_ring._items else 0)
+            if send_ring._items:
                 n += send_ring.drain_into(scratch, 64, owner=owner, start=n)
             if n:
                 progressed = True
@@ -309,15 +309,15 @@ def _sharded_mux_workload(scan: str, n_shards: int, vms_per_shard: int,
             if backlog:
                 pushed = False
                 cap = completion_ring.capacity
-                while backlog and completion_ring._count < cap:
+                while backlog and len(completion_ring._items) < cap:
                     completion_ring.try_push(backlog.popleft(), owner=owner)
                     pushed = True
                 if pushed:
                     nsm_dev.ring_doorbell()
                     progressed = True
             n = (job_ring.drain_into(scratch, 64, owner=owner)
-                 if job_ring._count else 0)
-            if send_ring._count:
+                 if job_ring._items else 0)
+            if send_ring._items:
                 n += send_ring.drain_into(scratch, 64, owner=owner, start=n)
             if n:
                 progressed = True

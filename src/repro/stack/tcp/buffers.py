@@ -10,14 +10,19 @@ scalar layout kept as the A/B baseline for benchmarking).  Both produce
 byte-identical streams and identical window arithmetic — the vectorized
 path only changes *how many times payload bytes are copied*:
 
-* ``SendBuffer`` (vectorized) is a fixed ring over one preallocated
-  ``bytearray`` slab.  ``write`` copies bytes in once; ``peek`` returns a
-  zero-copy ``memoryview`` of the slab for the contiguous common case
-  (so every transmission and retransmission reads the slab in place);
-  ``advance`` is O(1) index arithmetic instead of an O(n) front-delete
-  memmove per ACK.  Views handed out by ``peek`` stay valid exactly as
-  long as the bytes are unacked — the ring cannot recycle a region
-  before ``advance`` passes it, and receivers copy on delivery (below)
+* ``SendBuffer`` (vectorized) is a ring over one ``bytearray`` slab
+  sized by occupancy: no slab until the first ``write``, then one of
+  ``max(need, 4 KiB)``, re-linearized once into a slab of full
+  ``capacity`` on the first overflow.  Idle endpoints and listeners
+  therefore hold no slab, and short connections a small one.  ``write``
+  copies bytes in once; ``peek`` returns a zero-copy ``memoryview`` of
+  the slab for the contiguous common case (so every transmission and
+  retransmission reads the slab in place); ``advance`` is O(1) index
+  arithmetic instead of an O(n) front-delete memmove per ACK.  Views
+  handed out by ``peek`` stay valid exactly as long as the bytes are
+  unacked — the ring cannot recycle a region before ``advance`` passes
+  it, growth copies into a fresh slab and never writes the old one
+  (which the views keep alive), and receivers copy on delivery (below)
   before the ACK that would free it can exist.
 
 * ``ReceiveBuffer`` (vectorized) stores ready data as a deque of bytes
@@ -44,6 +49,9 @@ Payload = Union[bytes, bytearray, memoryview]
 #: unless constructed with an explicit ``vectorized=`` override.
 VECTORIZED_DEFAULT = True
 
+#: Smallest first send slab; later growth goes straight to ``capacity``.
+MIN_SEND_SLAB = 4 * 1024
+
 
 class SendBuffer:
     """Unacked + unsent outbound bytes, addressed relative to SND.UNA."""
@@ -55,10 +63,11 @@ class SendBuffer:
         self.capacity = capacity
         self.vectorized = vectorized
         if vectorized:
-            # Ring over one preallocated slab; _start/_len replace the
-            # legacy grow-and-memmove bytearray.
-            self._slab = bytearray(capacity)
+            # Ring over one slab allocated on first write (see _grow);
+            # _start/_len replace the legacy grow-and-memmove bytearray.
+            self._slab = bytearray()
             self._mv = memoryview(self._slab)
+            self._size = 0  # len(self._slab), the ring modulus
             self._start = 0
             self._len = 0
         else:
@@ -81,16 +90,42 @@ class SendBuffer:
         take = min(len(data), self.capacity - self._len)
         if not take:
             return 0
+        size = self._size
+        if self._len + take > size:
+            size = self._grow(self._len + take)
         src = data if type(data) is memoryview else memoryview(data)
         pos = self._start + self._len
-        if pos >= self.capacity:
-            pos -= self.capacity
-        first = min(take, self.capacity - pos)
+        if pos >= size:
+            pos -= size
+        first = min(take, size - pos)
         self._mv[pos:pos + first] = src[:first]
         if first < take:
             self._mv[:take - first] = src[first:take]
         self._len += take
         return take
+
+    def _grow(self, need: int) -> int:
+        """Replace the slab with a larger one holding the queued bytes at
+        its front; returns the new size.
+
+        The first slab is ``max(need, MIN_SEND_SLAB)``; any later growth
+        goes straight to ``capacity``, so a buffer reallocates at most
+        twice.  The old slab is never written again, and views handed
+        out by ``peek`` keep it alive, so they read the same bytes until
+        ``advance`` passes them.
+        """
+        if self._size:
+            size = self.capacity
+        else:
+            size = min(self.capacity, max(need, MIN_SEND_SLAB))
+        slab = bytearray(size)
+        if self._len:
+            slab[:self._len] = self.peek(0, self._len)
+        self._slab = slab
+        self._mv = memoryview(slab)
+        self._size = size
+        self._start = 0
+        return size
 
     def peek(self, offset: int, length: int) -> Payload:
         """Bytes at ``offset`` from SND.UNA (for (re)transmission).
@@ -108,10 +143,11 @@ class SendBuffer:
         take = min(length, self._len - offset)
         if take <= 0:
             return b""
+        size = self._size
         pos = self._start + offset
-        if pos >= self.capacity:
-            pos -= self.capacity
-        first = self.capacity - pos
+        if pos >= size:
+            pos -= size
+        first = size - pos
         if take <= first:
             return self._mv[pos:pos + take]
         return bytes(self._mv[pos:]) + bytes(self._mv[:take - first])
@@ -128,8 +164,8 @@ class SendBuffer:
             del self._data[:acked]
             return
         start = self._start + acked
-        if start >= self.capacity:
-            start -= self.capacity
+        if start >= self._size:
+            start -= self._size
         self._start = start
         self._len -= acked
 

@@ -1,5 +1,8 @@
 """Tests for the SPSC ring: capacity, ordering, ownership discipline."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ResourceError, RingEmptyError, RingFullError
@@ -54,6 +57,13 @@ class TestBasics:
             SpscRing(0)
 
 
+class _Item:
+    """A weakref-able ring payload (ints and ``object()`` are not)."""
+
+    def __init__(self, value):
+        self.value = value
+
+
 class TestBatching:
     def test_pop_batch_limits(self):
         ring = SpscRing(16)
@@ -105,14 +115,34 @@ class TestBatchWraparound:
 
     def test_drain_into_straddles_capacity(self):
         ring = self._offset_ring(8, 5)
-        for i in range(7):
-            ring.push(i)
+        items = [_Item(i) for i in range(7)]
+        refs = [weakref.ref(item) for item in items]
+        for item in items:
+            ring.push(item)
+        del items, item
         buf = []
         n = ring.drain_into(buf, 7)
         assert n == 7
-        assert buf[:n] == [0, 1, 2, 3, 4, 5, 6]
-        # Drained slots are cleared so the ring keeps no references.
-        assert all(slot is None for slot in ring._slots)
+        assert [x.value for x in buf[:n]] == [0, 1, 2, 3, 4, 5, 6]
+        assert ring.empty and len(ring) == 0
+        # The ring keeps no reference to drained items: once the scratch
+        # list lets go, every item is freed.
+        del buf
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_push_batch_count_beyond_items_rejected(self):
+        # count > len(items) is a caller bug: nothing is pushed or counted.
+        ring = SpscRing(8)
+        with pytest.raises(ResourceError):
+            ring.push_batch([1, 2], count=3)
+        assert ring.empty
+        assert ring.produced == 0 and ring.full_rejections == 0
+        # The same holds when the ring could not take them all anyway.
+        ring = SpscRing(1)
+        with pytest.raises(ResourceError):
+            ring.push_batch([1], count=2)
+        assert ring.produced == 0 and ring.full_rejections == 0
 
     def test_push_batch_count_prefix(self):
         # count=N pushes only the valid prefix of a reused scratch list.
