@@ -205,8 +205,7 @@ def _cmd_stats(as_json: bool, transfer_bytes: int) -> int:
           f"{ce['rate_limited_stalls']} rate-limit stalls, "
           f"{ce['nqes_dropped']} drops; "
           f"transferred {done.get('server_bytes', 0)} B")
-    print(f"Scheduler: mode={ce['sched.mode']} "
-          f"passes={ce['sched.passes']} "
+    print(f"Scheduler: passes={ce['sched.passes']} "
           f"stale_wakeups={ce['sched.stale_wakeups']} "
           "(stall timeouts disarmed after a doorbell won the race)")
     return _finish(env, as_json)
@@ -231,10 +230,6 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
             line = (f"  {name:<16} wall={result['wall_s']:.3f}s "
                     f"events={result['events']} "
                     f"peak_rss={result['peak_rss']}KiB")
-            if "speedup_vs_full" in result:
-                line += f" speedup={result['speedup_vs_full']:.2f}x"
-            if "speedup_vs_scalar" in result:
-                line += f" vec={result['speedup_vs_scalar']:.2f}x"
             if "fingerprint_match" in result:
                 line += f" identical={result['fingerprint_match']}"
             print(line)
@@ -249,7 +244,8 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
                   if r.get("fingerprint_match") is False]
     if mismatched:
         env.fail("divergence",
-                 f"TIMELINE DIVERGENCE between scan modes: {mismatched}")
+                 "TIMELINE DIVERGENCE: a shard diverged from its 1-shard "
+                 f"reference in {mismatched}")
     if floors_path:
         with open(floors_path) as handle:
             floors = json.load(handle)

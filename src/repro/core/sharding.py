@@ -25,13 +25,14 @@ and liveness checks all apply exactly once, on the destination side).
 Determinism
 -----------
 
-Each shard is itself a CoreEngine, so PR 2's ready-vs-full bit-identity
-invariants hold *per shard* unchanged (``_pre_pass`` runs identically in
-both scan loops).  When the partition is traffic-closed — every VM homed
-with its serving NSM, as the fig08_sharded bench arranges — a shard's
-simulated timeline is independent of every other shard's, and its
-counters are bit-identical to a standalone one-shard run of the same
-population.  The perf harness asserts exactly that.
+Each shard is itself a CoreEngine, so the ready-set scheduler's
+bit-identity with a full rescan holds *per shard* unchanged
+(``_pre_pass`` runs at the top of every pass).  When the partition is
+traffic-closed — every VM homed with its serving NSM, as the
+fig08_sharded bench arranges — a shard's simulated timeline is
+independent of every other shard's, and its counters are bit-identical
+to a standalone one-shard run of the same population.  The perf harness
+asserts exactly that.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import itertools
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.coreengine import (CoreEngine, _Registration,
-                                   DEFAULT_SCAN_MODE, SCAN_MODES)
+from repro.core.coreengine import CoreEngine, _Registration
 from repro.core.nk_device import NKDevice
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -132,18 +132,11 @@ class _ShardEngine(CoreEngine):
             return reg.engine
         return self
 
-    def _deliver(self, ring, nqe, target_device: NKDevice):
-        home = self._home_of(target_device)
-        if home is not self:
-            self.handoffs_out += 1
-            home._inbound.push(ring, nqe, target_device)
-            home._kick_inbound()
-            return
-        yield from CoreEngine._deliver(self, ring, nqe, target_device)
-
     def _deliver_fast(self, ring, nqe, target_device: NKDevice) -> bool:
-        """Vectorized delivery: a cross-shard handoff is synchronous by
-        construction (push + doorbell, no yields), so it is always fast."""
+        """A cross-shard handoff is synchronous by construction (push +
+        doorbell, no yields), so it never needs the stalling slow path;
+        every switched NQE tries this first, so it is the one place a
+        handoff happens."""
         home = self._home_of(target_device)
         if home is not self:
             self.handoffs_out += 1
@@ -167,13 +160,12 @@ class _ShardEngine(CoreEngine):
                     scratch[i] = scratch[i + 1] = scratch[i + 2] = None
                     self.handoffs_in += 1
                     if not self._deliver_fast(dring, nqe, device):
-                        yield from CoreEngine._deliver(self, dring, nqe,
-                                                       device)
+                        yield from self._deliver(dring, nqe, device)
                 continue
             dring, nqe, device = spill.popleft()
             self.handoffs_in += 1
             if not self._deliver_fast(dring, nqe, device):
-                yield from CoreEngine._deliver(self, dring, nqe, device)
+                yield from self._deliver(dring, nqe, device)
 
     def _kick_inbound(self) -> None:
         """Wake this shard's switching loop without marking any device
@@ -224,25 +216,16 @@ class ShardedCoreEngine:
 
     def __init__(self, sim, cores: List[Core],
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch_size: int = 4, ring_slots: int = 4096,
-                 scan: Optional[str] = None,
-                 vectorized: Optional[bool] = None):
+                 batch_size: int = 4, ring_slots: int = 4096):
         if not cores:
             raise ConfigurationError("need at least one shard core")
-        scan = DEFAULT_SCAN_MODE if scan is None else scan
-        if scan not in SCAN_MODES:
-            raise ConfigurationError(
-                f"unknown scan mode {scan!r}; choose from {SCAN_MODES}")
         self.sim = sim
-        self.scan = scan
         self.batch_size = batch_size
         self.shards: List[_ShardEngine] = [
             _ShardEngine(sim, core, index, self, cost_model=cost_model,
-                         batch_size=batch_size, ring_slots=ring_slots,
-                         scan=scan, vectorized=vectorized)
+                         batch_size=batch_size, ring_slots=ring_slots)
             for index, core in enumerate(cores)
         ]
-        self.vectorized = self.shards[0].vectorized
         # Control plane: shard 0's objects become the host-global ones.
         first = self.shards[0]
         self.table = first.table
@@ -615,14 +598,11 @@ class ShardedCoreEngine:
         per_shard = [shard.stats() for shard in self.shards]
         out: Dict[str, object] = {
             "shards": len(self.shards),
-            "sched.mode": self.scan,
             "connections": len(self.table),
         }
-        out["sched.vectorized"] = self.vectorized
         numeric = [k for k in per_shard[0]
                    if isinstance(per_shard[0][k], (int, float))
-                   and k not in ("avg_batch", "connections",
-                                 "sched.vectorized")]
+                   and k not in ("avg_batch", "connections")]
         for key in numeric:
             out[key] = sum(stats[key] for stats in per_shard)
         out["avg_batch"] = (out["nqes_switched"] / out["batches"]

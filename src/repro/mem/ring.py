@@ -42,8 +42,8 @@ class SpscRing:
         #: resettable via :meth:`take_hwm`, so the overload detector can
         #: sample per-interval peaks instead of a lifetime maximum.
         self.hwm_depth = 0
-        #: Drains that built a fresh list (``pop_batch``).  The vectorized
-        #: datapath drains through ``drain_into`` instead, which reuses a
+        #: Drains that built a fresh list (``pop_batch``).  The switching
+        #: loop drains through ``drain_into`` instead, which reuses a
         #: caller-owned scratch list; perf smoke asserts this counter stays
         #: flat across steady-state switching.
         self.list_allocs = 0
@@ -143,7 +143,7 @@ class SpscRing:
 
         ``count`` pushes only ``items[:count]`` without materializing the
         slice: pass a reusable scratch list plus the valid-prefix length
-        (the vectorized producer fast path).  A ``count`` beyond
+        (the batched producer fast path).  A ``count`` beyond
         ``len(items)`` is a caller bug and raises :class:`ResourceError`
         before anything is pushed.
         """
@@ -159,8 +159,8 @@ class SpscRing:
         queued = self._items
         free = self.capacity - len(queued)
         if n > free:
-            # One rejection per overflowing batch, matching the scalar
-            # loop's behaviour of counting the first refused element.
+            # One rejection per overflowing batch, as a one-at-a-time
+            # push loop would count only its first refused element.
             self._note_full()
             n = free
         if n <= 0:

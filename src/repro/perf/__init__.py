@@ -2,10 +2,10 @@
 
 Unlike ``repro.experiments`` — which reproduces the paper's *simulated*
 numbers — this package measures how fast the simulator itself runs:
-events per second, NQE switches per second, and the CoreEngine ready-set
-scheduler's wall-clock advantage over the full scan at fig. 8-style
-multiplexing scale.  Results are pinned-seed and deterministic in
-simulated time; only the wall-clock readings vary between machines.
+events per second, NQE switches per second, and CoreEngine switching at
+fig. 8-style multiplexing scale, from one host to a sharded fleet.
+Results are pinned-seed and deterministic in simulated time; only the
+wall-clock readings vary between machines.
 """
 
 from repro.perf.bench import (  # noqa: F401

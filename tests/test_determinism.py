@@ -11,6 +11,7 @@ from repro.net.fabric import Network
 from repro.sim import Simulator
 from repro.trace.ag_trace import generate_fleet
 from repro.units import gbps, usec
+from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 
 def run_transfer_fingerprint():
@@ -50,8 +51,10 @@ def run_transfer_fingerprint():
 
 
 class TestDeterminism:
-    def test_netkernel_run_is_reproducible(self):
-        assert run_transfer_fingerprint() == run_transfer_fingerprint()
+    def test_netkernel_run_is_reproducible(self, rewind_counters):
+        first = run_transfer_fingerprint()
+        assert timeline_digest(first) == GOLDENS["transfer"]
+        assert run_transfer_fingerprint() == first
 
     def test_fairness_run_is_reproducible(self):
         first = _run_one(16, vm_level_cc=True, duration=0.3)

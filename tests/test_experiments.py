@@ -8,6 +8,13 @@ import pytest
 
 from repro.experiments import REGISTRY, run_experiment
 from repro.experiments.report import ExperimentResult, qualitative, ratio_check
+from tests.test_golden_timelines import GOLDENS, timeline_digest
+
+
+def _rows_digest(result):
+    """Golden digest of an experiment's rows and notes."""
+    return timeline_digest({"rows": result.rows, "notes": result.notes})
+
 
 ANALYTIC_EXPERIMENTS = [
     "fig7", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
@@ -130,8 +137,9 @@ class TestExperimentContent:
             mean = sum(series) / len(series)
             assert peak > 4 * mean       # bursty
 
-    def test_fig8_netkernel_beats_baseline_per_core(self):
+    def test_fig8_netkernel_beats_baseline_per_core(self, rewind_counters):
         result = run_experiment("fig8")
+        assert _rows_digest(result) == GOLDENS["fig8"]
         baseline = result.column("baseline_rps_per_core")
         netkernel = result.column("netkernel_rps_per_core")
         assert sum(netkernel) > sum(baseline)
@@ -178,15 +186,18 @@ class TestExperimentContent:
 
 class TestDesExperimentsScaledDown:
     """Small configurations keeping test runtime reasonable; the bench
-    harness runs the full versions."""
+    harness runs the full versions.  Each also pins its output to a
+    golden digest (test_golden_timelines.py), so no experiment runs
+    twice in tier-1."""
 
-    def test_fig9_quick(self):
+    def test_fig9_quick(self, rewind_counters):
         from repro.experiments import fig09_fairness
 
-        base_a, base_b = fig09_fairness._run_one(
-            16, vm_level_cc=False, duration=1.2)
-        nk_a, nk_b = fig09_fairness._run_one(
-            16, vm_level_cc=True, duration=1.2)
+        base = fig09_fairness._run_one(16, vm_level_cc=False, duration=1.2)
+        nk = fig09_fairness._run_one(16, vm_level_cc=True, duration=1.2)
+        assert timeline_digest([base, nk]) == GOLDENS["fig9_quick"]
+        base_a, base_b = base
+        nk_a, nk_b = nk
         base_share = base_a / (base_a + base_b)
         nk_share = nk_a / (nk_a + nk_b)
         # Baseline: ~1/3 for the 8-flow VM; VMCC: ~1/2.
@@ -194,8 +205,9 @@ class TestDesExperimentsScaledDown:
         assert 0.38 <= nk_share <= 0.68
         assert nk_share > base_share
 
-    def test_fig21_quick(self):
+    def test_fig21_quick(self, rewind_counters):
         result = run_experiment("fig21", scale=0.02, time_factor=0.1)
+        assert _rows_digest(result) == GOLDENS["fig21_quick"]
         rows = result.row_dicts()
         # During the all-three window (paper seconds 10-20) the caps hold.
         window = [r for r in rows if 12 <= r["t_sec"] <= 18]
@@ -207,8 +219,9 @@ class TestDesExperimentsScaledDown:
         assert vm2 <= 0.8       # capped at 0.5 Gbps
         assert vm3 > vm1 + vm2  # work conservation: VM3 takes the rest
 
-    def test_table5_quick(self):
+    def test_table5_quick(self, rewind_counters):
         result = run_experiment("table5", requests=300, concurrency=60)
+        assert _rows_digest(result) == GOLDENS["table5_quick"]
         rows = {row[0]: dict(zip(result.columns, row))
                 for row in result.rows}
         kernel = rows["NetKernel"]

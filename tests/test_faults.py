@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, PLAN_NAMES, named_plan
 from repro.faults.chaos import run_chaos
+from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 
 class TestFaultPlan:
@@ -78,9 +79,11 @@ class TestInjectorWiring:
 
 
 class TestChaosDeterminism:
-    def test_same_seed_same_fingerprint(self):
+    def test_same_seed_same_fingerprint(self, rewind_counters):
         first = run_chaos(seed=11, plan_name="nsm-crash", duration=0.2)
         second = run_chaos(seed=11, plan_name="nsm-crash", duration=0.2)
+        assert (timeline_digest(first["switch_fingerprint"])
+                == GOLDENS["chaos.nsm-crash.11"])
         assert (first["switch_fingerprint"]
                 == second["switch_fingerprint"])
         assert first["leaks"] == [] and second["leaks"] == []

@@ -1,5 +1,5 @@
 """Overload control: ring watermarks, governor policy, the EAGAIN
-contract, chaos integration, and vectorized/scalar determinism."""
+contract, chaos integration, and a golden shed burst."""
 
 import pytest
 
@@ -18,6 +18,7 @@ from repro.errors import TimedOutError, TryAgainError
 from repro.faults.chaos import run_chaos
 from repro.mem.ring import SpscRing
 from repro.sim import Simulator
+from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 
 @pytest.fixture
@@ -158,12 +159,11 @@ class TestGovernorPolicy:
 
 
 class TestSwitchShed:
-    def _burst(self, sim, vectorized):
+    def _burst(self, sim):
         """Force level 2, then push a one-window burst far beyond the
         shed quota, bypassing the admission gate (a misbehaving guest)."""
         pool_before = NQE_POOL.outstanding
-        engine, governor, vms = _raw_engine(sim, n_vms=2,
-                                            vectorized=vectorized)
+        engine, governor, vms = _raw_engine(sim, n_vms=2)
         nsm_dev = engine._nsms[min(engine._nsms)].device
         consumed = [0]
         owner = object()
@@ -220,7 +220,7 @@ class TestSwitchShed:
         }
 
     def test_sheds_surface_as_eagain_results(self, sim):
-        out = self._burst(sim, vectorized=True)
+        out = self._burst(sim)
         assert out["sheds"] > 0
         # Every shed came back to its producer as a -EAGAIN completion:
         # fail-fast, never a silent drop.
@@ -231,10 +231,11 @@ class TestSwitchShed:
         # NQE accounting balances: bursts + synthesized results all freed.
         assert out["pool_delta"] == 0
 
-    def test_shed_policy_identical_vectorized_and_scalar(self):
-        fast = self._burst(Simulator(), vectorized=True)
-        slow = self._burst(Simulator(), vectorized=False)
-        assert fast == slow
+    def test_shed_policy_matches_golden(self, rewind_counters):
+        """The whole shed burst — sheds, per-VM EAGAINs and completions,
+        governor counters — replays bit for bit."""
+        out = self._burst(Simulator())
+        assert timeline_digest(out) == GOLDENS["shed_burst"]
 
 
 # -- the EAGAIN contract (satellite: errno distinction + seeded jitter) -------

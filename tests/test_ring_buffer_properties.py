@@ -1,19 +1,22 @@
-"""Property tests: occupancy-sized storage against plain reference models.
+"""Property tests: the datapath's storage against plain reference models.
 
-``SpscRing`` keeps its items in a deque sized by occupancy, and the
-vectorized ``SendBuffer`` allocates its slab on first write and grows it
-once to full capacity.  Seeded random workloads drive each against a
-model built from a plain ``list`` or ``bytearray``; after every step the
-two must agree on every observable.
+``SpscRing`` keeps its items in a deque sized by occupancy, the
+``SendBuffer`` allocates its slab on first write and grows it once to
+full capacity, and the ``ReceiveBuffer`` keeps ready data as a deque of
+chunks with a bisect-sorted reassembly stash.  Random workloads drive
+each against a model built from a plain ``list``, ``bytearray`` or
+``dict``; after every step the two must agree on every observable.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ResourceError
 from repro.mem.ring import SpscRing
-from repro.stack.tcp.buffers import MIN_SEND_SLAB, SendBuffer
+from repro.stack.tcp.buffers import MIN_SEND_SLAB, ReceiveBuffer, SendBuffer
+from tests.reference_models import ReceiveBufferModel
 
 SEEDS = [0, 1, 2, 3, 17]
 
@@ -232,3 +235,55 @@ def test_send_buffer_grows_under_a_live_view():
     assert bytes(head) == b"a" * 1000
     assert bytes(buf.peek(0, 8000)) == b"a" * 1000 + b"b" * 2000 + b"c" * 5000
     assert bytes(first_slab) == before  # growth never writes the old slab
+
+
+#: The byte stream every receive-buffer case reassembles.
+STREAM = bytes((i * 7 + 3) % 251 for i in range(300))
+
+#: (stream offset, length, deliver as memoryview) — offsets near each
+#: other so segments overlap, duplicate and arrive out of order.
+_SEGMENT = st.tuples(st.integers(0, len(STREAM) - 1), st.integers(1, 48),
+                     st.booleans())
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("deliver"), _SEGMENT),
+    st.tuples(st.just("batch"), st.lists(_SEGMENT, max_size=6)),
+    st.tuples(st.just("read"), st.integers(0, 80)),
+), max_size=60)
+
+
+def _segment(base, segment):
+    offset, length, as_view = segment
+    data = STREAM[offset:offset + length]
+    return base + offset, memoryview(bytearray(data)) if as_view else data
+
+
+@given(capacity=st.integers(1, 96), base=st.integers(0, 10_000), ops=_OPS)
+@settings(max_examples=300, deadline=None)
+def test_receive_buffer_matches_reference_model(capacity, base, ops):
+    """Random segment streams — overlap, duplicates, out-of-order
+    arrivals, and a window small enough to close — give the same bytes
+    made ready, cursor, window and reads as the reference model."""
+    buf = ReceiveBuffer(capacity, initial_seq=base)
+    model = ReceiveBufferModel(capacity, base)
+    received = bytearray()
+    for op, arg in ops:
+        if op == "deliver":
+            seq, data = _segment(base, arg)
+            assert buf.deliver(seq, data) == model.deliver(seq, data)
+        elif op == "batch":
+            segments = [_segment(base, segment) for segment in arg]
+            expected = sum(model.deliver(seq, data)
+                           for seq, data in segments)
+            assert buf.deliver_batch(segments) == expected
+        else:
+            data = buf.read(arg)
+            assert data == model.read(arg)
+            received += data
+        assert buf.rcv_nxt == model.rcv_nxt
+        assert buf.window == model.window
+        assert len(buf) == len(model.ready)
+    data = buf.read(capacity)
+    assert data == model.read(capacity)
+    # Whatever was made ready is the stream's prefix, in order.
+    assert bytes(received + data) == STREAM[:buf.rcv_nxt - base]

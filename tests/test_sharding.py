@@ -246,7 +246,7 @@ class TestCrossShardHandoff:
         assert len(engine.table) == 0
 
     def test_traffic_closed_partition_has_no_handoffs(self):
-        out = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
+        out = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                     active_per_shard=2, nqes_per_active=6)
         assert out["handoffs"] == 0
 
@@ -256,10 +256,10 @@ class TestShardDeterminism:
         """The acceptance proof at test scale: each shard of a
         traffic-closed partition runs a timeline bit-identical to a
         standalone single-shard CoreEngine over the same population."""
-        ref = _mux_workload("ready", n_vms=40, active_vms=4,
+        ref = _mux_workload(n_vms=40, active_vms=4,
                             nqes_per_active=8)
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
-        out = _sharded_mux_workload("ready", n_shards=3, vms_per_shard=40,
+        out = _sharded_mux_workload(n_shards=3, vms_per_shard=40,
                                     active_per_shard=4, nqes_per_active=8)
         assert out["handoffs"] == 0
         assert len(out["per_shard"]) == 3
@@ -267,19 +267,21 @@ class TestShardDeterminism:
             assert fingerprint == ref_fp
         assert out["sim_now"] == ref["sim_now"]
 
-    def test_ready_vs_full_scan_identity_holds_per_shard(self):
-        """PR 2's scheduler proof survives sharding: the ready-set scan
-        and the full scan produce bit-identical per-shard timelines."""
-        ready = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=30,
+    def test_ready_vs_full_scan_identity_holds_per_shard(self, full_scan):
+        """The scheduler proof survives sharding: the ready-set loop and
+        the full-scan oracle produce bit-identical per-shard timelines."""
+        ready = _sharded_mux_workload(n_shards=2, vms_per_shard=30,
                                       active_per_shard=3, nqes_per_active=6)
-        full = _sharded_mux_workload("full", n_shards=2, vms_per_shard=30,
-                                     active_per_shard=3, nqes_per_active=6)
+        with full_scan():
+            full = _sharded_mux_workload(n_shards=2, vms_per_shard=30,
+                                         active_per_shard=3,
+                                         nqes_per_active=6)
         assert ready["per_shard"] == full["per_shard"]
         assert ready["sim_now"] == full["sim_now"]
 
     def test_seeded_replay_is_bit_identical(self):
-        first = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
+        first = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                       active_per_shard=2, nqes_per_active=5)
-        second = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
+        second = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                        active_per_shard=2, nqes_per_active=5)
         assert first == second

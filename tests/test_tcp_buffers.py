@@ -125,13 +125,22 @@ class TestReceiveBuffer:
 
 class TestDeliverBatchEquivalence:
     """``deliver_batch(segs)`` must equal N single ``deliver`` calls —
-    same bytes made ready, same cursor, same window — in both storage
-    modes (the vectorized fast path takes a different code path only
-    for consecutive in-order segments with an empty stash)."""
+    same bytes made ready, same cursor, same window.  The batch fast path
+    differs only for consecutive in-order segments with an empty stash,
+    and adopts ``bytes`` payloads but copies views, so every case runs
+    with both payload types (``as_view``: memoryview slices, as the TCP
+    zero-copy hand-off delivers them, or plain bytes)."""
 
-    def _check(self, segments, vectorized, capacity=1000):
-        batched = ReceiveBuffer(capacity, initial_seq=0, vectorized=vectorized)
-        single = ReceiveBuffer(capacity, initial_seq=0, vectorized=vectorized)
+    @staticmethod
+    def _payloads(segments, as_view):
+        if not as_view:
+            return list(segments)
+        return [(seq, memoryview(bytearray(data))) for seq, data in segments]
+
+    def _check(self, segments, as_view, capacity=1000):
+        segments = self._payloads(segments, as_view)
+        batched = ReceiveBuffer(capacity, initial_seq=0)
+        single = ReceiveBuffer(capacity, initial_seq=0)
         made_b = batched.deliver_batch(segments)
         made_s = sum(single.deliver(seq, data) for seq, data in segments)
         assert made_b == made_s
@@ -139,41 +148,47 @@ class TestDeliverBatchEquivalence:
         assert batched.window == single.window
         assert batched.read(10 * capacity) == single.read(10 * capacity)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_in_order_run(self, vectorized):
-        self._check([(0, b"abc"), (3, b"def"), (6, b"ghi")], vectorized)
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_in_order_run(self, as_view):
+        self._check([(0, b"abc"), (3, b"def"), (6, b"ghi")], as_view)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_out_of_order_then_fill(self, vectorized):
-        self._check([(6, b"ghi"), (3, b"def"), (0, b"abc")], vectorized)
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_out_of_order_then_fill(self, as_view):
+        self._check([(6, b"ghi"), (3, b"def"), (0, b"abc")], as_view)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_overlap_and_duplicates(self, vectorized):
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_overlap_and_duplicates(self, as_view):
         self._check(
             [(0, b"abcd"), (2, b"cdef"), (0, b"abcd"), (4, b"efgh")],
-            vectorized)
+            as_view)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_stash_mid_batch_disables_fast_path(self, vectorized):
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_stash_mid_batch_disables_fast_path(self, as_view):
         # Segment 2 stashes; segments 3-4 must go through full deliver()
         # even though they are in-order, or the stash would never drain.
         self._check(
-            [(0, b"aa"), (4, b"cc"), (2, b"bb"), (6, b"dd")], vectorized)
+            [(0, b"aa"), (4, b"cc"), (2, b"bb"), (6, b"dd")], as_view)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_window_closes_mid_batch(self, vectorized):
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_window_closes_mid_batch(self, as_view):
         self._check([(0, b"abcd"), (4, b"efgh"), (8, b"ijkl")],
-                    vectorized, capacity=6)
+                    as_view, capacity=6)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_memoryview_segments(self, vectorized):
+    @pytest.mark.parametrize("as_view", [True, False])
+    def test_memoryview_segments(self, as_view):
         # The zero-copy hand-off delivers memoryviews over the sender
-        # slab; batch delivery must materialize them exactly like deliver.
+        # slab; batch delivery must materialize them exactly like
+        # deliver, and must not adopt a mutable payload either way.
         slab = bytearray(b"abcdefgh")
-        segs = [(0, memoryview(slab)[0:4]), (4, memoryview(slab)[4:8])]
-        buf = ReceiveBuffer(100, initial_seq=0, vectorized=vectorized)
+        if as_view:
+            segs = [(0, memoryview(slab)[0:4]), (4, memoryview(slab)[4:8])]
+        else:
+            segs = [(0, slab[0:4]), (4, slab[4:8])]
+        buf = ReceiveBuffer(100, initial_seq=0)
         assert buf.deliver_batch(segs) == 8
         slab[:] = b"XXXXXXXX"  # mutating the slab must not alias ready data
+        for _seq, data in segs:
+            data[:] = b"YYYY"  # nor mutating the delivered payload itself
         assert buf.read(100) == b"abcdefgh"
 
     @given(st.data())
@@ -190,8 +205,8 @@ class TestDeliverBatchEquivalence:
             if bounds[i] < bounds[i + 1]
         ]
         order = data.draw(st.permutations(segments + segments))
-        vectorized = data.draw(st.booleans())
-        self._check(order, vectorized, capacity=10_000)
+        as_view = data.draw(st.booleans())
+        self._check(order, as_view, capacity=10_000)
 
 
 class TestStaleOutOfOrderPurge:

@@ -105,3 +105,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ce_switch_fixed" in out
         assert "core_hz" in out
+
+    def test_bench_quick_json_reports_one_datapath(self, capsys,
+                                                   rewind_counters):
+        import json
+
+        from tests.test_golden_timelines import GOLDENS, timeline_digest
+
+        assert cli_main(["bench", "nqe_switch", "--quick", "--json"]) == 0
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["ok"] is True
+        result = envelope["data"]["results"]["nqe_switch"]
+        # One datapath: no mode-vs-mode speedups or wall times.
+        assert not [key for key in result if key.startswith("speedup_vs_")]
+        assert "wall_full_s" not in result and "wall_scalar_s" not in result
+        assert (timeline_digest(result["fingerprint"])
+                == GOLDENS["bench.nqe_switch"])
