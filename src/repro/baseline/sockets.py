@@ -40,6 +40,8 @@ class BaselineSocket:
         self.watchers: Set[EpollInstance] = set()
         self.bytes_sent = 0
         self.bytes_received = 0
+        #: setsockopt() values by option name.
+        self.options: Dict[str, int] = {}
         self._install_callbacks()
 
     def _install_callbacks(self) -> None:
@@ -319,7 +321,15 @@ class BaselineSocketApi(SocketApi):
 
     def setsockopt(self, sock: BaselineSocket, option: str, value: int,
                    vcpu: int = 0):
+        """setsockopt(): the option is recorded, as ServiceLib records
+        it; the simulated stacks have no tunables it would alter."""
+        sock.options[option] = value
         return 0
+        yield  # pragma: no cover
+
+    def getsockopt(self, sock: BaselineSocket, option: str, vcpu: int = 0):
+        """getsockopt(): the recorded value, 0 for never-set options."""
+        return sock.options.get(option, 0)
         yield  # pragma: no cover
 
     def shutdown(self, sock: BaselineSocket, vcpu: int = 0):

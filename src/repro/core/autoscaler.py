@@ -252,21 +252,18 @@ class NsmAutoscaler:
         yield self.sim.timeout(self.provision_delay)
         name = f"{self.name_prefix}{self._seq}"
         self._seq += 1
-        # Shard-aware scale-out: on a sharded switch the new NSM homes
-        # on the emptiest shard, so the policy grows *shards* — shard-
-        # local placement (assign_vm_auto's same-shard preference) then
-        # steers new VMs there without cross-shard handoffs.  The shard
-        # is chosen when the job runs, not when it was queued: the fleet
+        # Shard-aware scale-out: the new NSM homes on the emptiest
+        # switching core, so the policy grows *shards* — core-local
+        # placement (assign_vm_auto's same-core preference) then steers
+        # new VMs there without cross-core handoffs.  The shard is
+        # chosen when the job runs, not when it was queued: the fleet
         # may have changed shape while the job waited.
-        engine = self.host.coreengine
-        shard = engine.emptiest_shard() \
-            if hasattr(engine, "emptiest_shard") else None
+        shard = self.host.coreengine.emptiest_shard()
         nsm = self.host.add_nsm(name, vcpus=self.nsm_vcpus,
                                 stack=self.stack, shard=shard)
         self.managed[name] = nsm
         self.counters["spawned"] += 1
-        self._log("spawn",
-                  name if shard is None else f"{name}@shard{shard}")
+        self._log("spawn", f"{name}@shard{shard}")
         self._notify("spawn")
 
     def _do_retire(self, name: str):
@@ -381,18 +378,16 @@ class NsmAutoscaler:
             obs.on_autoscale(action)
 
     def report(self) -> dict:
-        """Counters + fleet shape, JSON-ready.  On a sharded switch the
-        report carries the per-shard load view (active NSMs, homed VMs,
-        live connections per shard) the spawn placement steers by."""
+        """Counters + fleet shape, JSON-ready, with the per-shard load
+        view (active NSMs, homed VMs, live connections per switching
+        core) the spawn placement steers by."""
         engine = self.host.coreengine
-        shard_loads = engine.shard_loads() \
-            if hasattr(engine, "shard_loads") else None
         return {
             "counters": dict(self.counters),
             "managed": sorted(self.managed),
             "draining": sorted(self._draining),
             "active_nsms": len(engine._active_nsm_ids()),
-            "shard_loads": shard_loads,
+            "shard_loads": engine.shard_loads(),
             "violations": list(self.violations),
         }
 

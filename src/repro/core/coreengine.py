@@ -14,12 +14,28 @@ Isolation (§4.4, Fig. 21): round-robin polling gives basic fairness;
 per-VM token buckets rate-limit bandwidth (bytes through send NQEs)
 and/or operations (NQEs per second).  Egress only, as in the paper.
 
+Cores (§4.3's dedicated switching cores): one CoreEngine holds one
+control plane — connection table, VM→NSM map, id space, device
+directory, hugepage regions, token buckets, quarantine map, failover
+listeners, migration records — and runs one switching loop per core it
+is given.  Every device is homed on one loop (round-robin per role, or
+pinned with ``shard=``), and only that loop consumes its produce rings
+and produces into its consume rings, so the rings stay strict SPSC.  A
+loop switching an NQE whose destination is homed elsewhere hands the
+(ring, NQE, device) triple to the destination loop's inbox and rings
+its doorbell; the destination delivers it at the top of its next pass.
+A one-core switch is the same code with one loop and an inbox that
+stays empty.
+
 Scheduling (§4.3's interrupt-driven polling, applied to the switch
-itself): doorbells carry the kicking device and the switch services only
-a dirty set of ready devices, so one wake-up costs O(ready devices), not
+itself): doorbells carry the kicking device and a loop services only a
+dirty set of ready devices, so one wake-up costs O(ready devices), not
 O(registered devices).  The simulated timeline is the one a rescan of
-every registered device would produce (see _run_ready for the
-invariants); the ready set only removes wall-clock work.
+every registered device would produce (see _SwitchLoop._run_ready for
+the invariants); the ready set only removes wall-clock work.  When no
+NQE crosses cores (every VM homed with its serving NSM), each loop's
+timeline is independent of the others and bit-identical to a one-core
+switch running only its devices.
 
 Failure handling (§8): an NSM is a new single point of failure, so the
 switch doubles as the failure detector.  ``enable_health_monitor`` sends
@@ -36,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.conn_table import ConnectionTable
@@ -121,7 +138,8 @@ class _Registration:
                  "active", "parked", "engine")
 
     def __init__(self, numeric_id: int, device: NKDevice,
-                 key: Tuple[int, int], birth_pass: int, engine=None):
+                 key: Tuple[int, int], birth_pass: int,
+                 engine: "_SwitchLoop"):
         self.numeric_id = numeric_id
         self.device = device
         #: (role rank, numeric id): a full rescan's visiting order, used
@@ -135,29 +153,27 @@ class _Registration:
         #: Live migration: a parked device's produced NQEs wait in its
         #: rings (ops park, they do not fail) until the move completes.
         self.parked = False
-        #: The switch servicing this device — its home shard when the
-        #: switch is sharded (repro.core.sharding), else the sole engine.
+        #: The switching loop this device is homed on.
         self.engine = engine
 
 
 class CoreEngine:
-    """The NQE switch; runs as a simulation process on a dedicated core."""
+    """The NQE switch: one control plane over one switching loop per core."""
 
-    def __init__(self, sim, core: Core,
+    def __init__(self, sim, cores: List[Core],
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  batch_size: int = 4, ring_slots: int = 4096):
         if batch_size < 1:
             raise ConfigurationError(f"batch size must be >=1: {batch_size}")
+        if not cores:
+            raise ConfigurationError("need at least one switching core")
         self.sim = sim
-        self.core = core
         self.cost = cost_model
         self.batch_size = batch_size
         self.ring_slots = ring_slots
-        #: Reusable drain scratch: grown once to batch_size, reread every
-        #: pass, never reallocated.
-        self._scratch: List[Nqe] = []
 
         self.table = ConnectionTable()
+        #: The device directory: every live registration by numeric id.
         self._vms: Dict[int, _Registration] = {}
         self._nsms: Dict[int, _Registration] = {}
         self._ids = itertools.count(1)
@@ -175,16 +191,6 @@ class CoreEngine:
         # in-flight NQEs for a vanished VM can still free their payloads.
         self._vm_regions: Dict[int, HugepageRegion] = {}
 
-        # Ready-set scheduler state.  Two heaps replicate a full rescan's
-        # pass structure: _current_pass holds devices to service this
-        # pass in key order, _next_pass collects devices that became
-        # ready at or behind the scan position.
-        self._current_pass: List[Tuple[Tuple[int, int], _Registration]] = []
-        self._next_pass: List[Tuple[Tuple[int, int], _Registration]] = []
-        self._pass_pos: Optional[Tuple[int, int]] = None
-        self._pass_counter = 0
-        self._in_pass = False
-
         # Delivery backpressure: how long _deliver may stall on a full
         # destination ring before dropping the NQE.  Generous by default
         # (live consumers drain rings in microseconds); a budget-length
@@ -195,7 +201,6 @@ class CoreEngine:
         # enable_health_monitor()).
         self.heartbeat_interval = 1e-3
         self.detection_timeout = 5e-3
-        self._health_process = None
         self._health_enabled = False
         #: nsm_id -> sim time of the last HEARTBEAT_ACK (or of first probe).
         self._last_ack: Dict[int, float] = {}
@@ -205,81 +210,76 @@ class CoreEngine:
         #: rebound, so the host can attach hugepage regions to the standby.
         self.failover_listeners: List[Callable[[int, int, int], None]] = []
 
-        # Fault injection (repro.faults); None means no faults and the
-        # hot path pays only the attribute check.
-        self.faults = None
-
-        # Overload control (repro.core.overload); None means overload
-        # control is disabled and the datapath pays only the attribute
-        # check.  Enabled via enable_overload_control().
+        # Overload control (repro.core.overload): shard 0's governor, the
+        # representative for level checks; None until
+        # enable_overload_control().
         self.overload = None
 
         # Live-migration state (§8's transparent-upgrade counterpart):
         # completed migration records, in order.
         self.migrations: List[dict] = []
 
-        # Statistics.
-        self.nqes_switched = 0
-        self.batches = 0
-        self.vms_migrated = 0
-        self.conns_migrated = 0
-        self.migration_parked_ops = 0
-        self.rate_limited_stalls = 0
-        self.nqes_dropped = 0
-        self.nqes_dropped_backpressure = 0
-        self.nqes_failed_fast = 0
-        #: NQEs failed fast with -EAGAIN by the overload shed backstop.
-        self.nqes_shed = 0
-        # Per-VM drop attribution (ISSUE 9): the host-global counters
-        # above answer "how much was lost", these answer "whose".  Keyed
-        # by the NQE's vm_id in either direction, so a tenant's losses
-        # are attributable through obs and GET /fleet.
-        self.vm_dropped: Dict[int, int] = {}
-        self.vm_dropped_backpressure: Dict[int, int] = {}
-        self.vm_shed: Dict[int, int] = {}
-        self.heartbeats_sent = 0
-        self.heartbeat_acks = 0
-        self.nsms_quarantined = 0
-        self.vms_failed_over = 0
-        self.conns_reset_on_failover = 0
-        #: Stall timeouts disarmed because the doorbell won the any_of
-        #: race (each one used to linger in the event heap as a no-op).
-        self.stale_wakeups = 0
+        self._rr_vm = itertools.count()
+        self._rr_nsm = itertools.count()
+        #: One switching loop per core, in core order.
+        self.shards: List[_SwitchLoop] = [
+            _SwitchLoop(self, index, core) for index, core in enumerate(cores)]
 
-        # Observability (repro.obs); None means tracing is disabled and
-        # the hot path pays nothing beyond the attribute check.
-        self.obs = None
+    # -- hooks every loop reads on its hot path --------------------------------
 
-        #: Doorbell state.  ``_kicked`` is the lost-doorbell guard: set by
-        #: every kick, cleared at the top of each pass, checked before
-        #: sleeping.  ``_doorbell_waiter`` exists only while the loop is
-        #: asleep; a kick landing while the switch is awake just sets the
-        #: flag and queues *no* event (the old always-an-Event doorbell
-        #: processed one ghost event per mid-pass kick).
-        self._kicked = False
-        self._doorbell_waiter: Optional[object] = None
-        self._running = True
-        self._process = sim.process(self._run_ready())
+    @property
+    def obs(self):
+        """Observability (repro.obs); None means tracing is disabled and
+        the hot path pays nothing beyond the attribute check."""
+        return self.shards[0].obs
+
+    @obs.setter
+    def obs(self, value) -> None:
+        for loop in self.shards:
+            loop.obs = value
+
+    @property
+    def faults(self):
+        """Fault injection (repro.faults); None means no faults and the
+        hot path pays only the attribute check."""
+        return self.shards[0].faults
+
+    @faults.setter
+    def faults(self, value) -> None:
+        for loop in self.shards:
+            loop.faults = value
 
     # ------------------------------------------------------------- control --
 
     def register_vm(self, owner_id: str, queue_sets: int,
                     hugepages: Optional[HugepageRegion] = None,
-                    poll_window_sec: Optional[float] = None) -> Tuple[int, NKDevice]:
-        """Allocate an NK device for a starting VM (§4.4)."""
+                    poll_window_sec: Optional[float] = None,
+                    shard: Optional[int] = None) -> Tuple[int, NKDevice]:
+        """Allocate an NK device for a starting VM (§4.4), homed
+        round-robin over the cores unless ``shard`` pins it."""
         return self._register(owner_id, ROLE_VM, queue_sets, hugepages,
-                              poll_window_sec)
+                              poll_window_sec, self._rr_vm, shard)
 
     def register_nsm(self, owner_id: str, queue_sets: int,
                      hugepages: Optional[HugepageRegion] = None,
-                     poll_window_sec: Optional[float] = None) -> Tuple[int, NKDevice]:
-        """Allocate an NK device for a starting NSM (§4.4)."""
+                     poll_window_sec: Optional[float] = None,
+                     shard: Optional[int] = None) -> Tuple[int, NKDevice]:
+        """Allocate an NK device for a starting NSM (§4.4), homed
+        round-robin over the cores unless ``shard`` pins it."""
         return self._register(owner_id, ROLE_NSM, queue_sets, hugepages,
-                              poll_window_sec)
+                              poll_window_sec, self._rr_nsm, shard)
 
     def _register(self, owner_id: str, role: str, queue_sets: int,
                   hugepages: Optional[HugepageRegion],
-                  poll_window_sec: Optional[float]) -> Tuple[int, NKDevice]:
+                  poll_window_sec: Optional[float], role_counter,
+                  shard: Optional[int]) -> Tuple[int, NKDevice]:
+        if shard is None:
+            loop = self.shards[next(role_counter) % len(self.shards)]
+        elif 0 <= shard < len(self.shards):
+            loop = self.shards[shard]
+        else:
+            raise ConfigurationError(
+                f"shard {shard} out of range (0..{len(self.shards) - 1})")
         numeric_id = next(self._ids)
         # A recycled numeric id must not inherit the previous owner's
         # health verdict: a stale _last_ack would let the monitor
@@ -293,16 +293,16 @@ class CoreEngine:
             kwargs["poll_window_sec"] = poll_window_sec
         device = NKDevice(self.sim, owner_id, role, queue_sets, hugepages,
                           ring_slots=self.ring_slots, **kwargs)
-        device.doorbell = self.kick
-        self.core.charge(self.cost.ce_device_setup, "ce.device_setup")
-        registry = self._vms if role == ROLE_VM else self._nsms
+        device.doorbell = loop.kick
+        loop.core.charge(self.cost.ce_device_setup, "ce.device_setup")
         key = (0 if role == ROLE_VM else 1, numeric_id)
-        reg = _Registration(numeric_id, device, key, self._pass_counter,
-                            engine=self)
-        registry[numeric_id] = reg
-        device.ce_registration = reg
+        reg = _Registration(numeric_id, device, key, loop._pass_counter, loop)
         if role == ROLE_VM:
+            self._vms[numeric_id] = loop._vms[numeric_id] = reg
             self._vm_regions[numeric_id] = hugepages
+        else:
+            self._nsms[numeric_id] = loop._nsms[numeric_id] = reg
+        device.ce_registration = reg
         return numeric_id, device
 
     def deregister(self, numeric_id: int) -> None:
@@ -312,28 +312,35 @@ class CoreEngine:
         reclaimed here: payloads freed, elements returned to the pool.
         For an NSM they fail fast toward the VMs they belong to (the VMs
         outlive the NSM and must learn their connections died); for a VM
-        they are silently dropped (nobody is left to notify).
+        they are silently dropped (nobody is left to notify).  Unknown
+        ids are a silent no-op: the control ring exposes DEREGISTER to
+        guests, so a bad id must never raise.
         """
-        self.core.charge(self.cost.ce_device_setup, "ce.device_teardown")
-        if numeric_id in self._vms:
-            reg = self._vms.pop(numeric_id)
+        reg = self._vms.pop(numeric_id, None)
+        if reg is not None:
+            loop = reg.engine
+            loop.core.charge(self.cost.ce_device_setup, "ce.device_teardown")
+            del loop._vms[numeric_id]
             # Ready-heap entries for this device are skipped lazily.
             reg.active = False
             for entry in self.table.entries_for_vm(numeric_id):
                 self.table.remove_vm(entry.vm_tuple)
             self.vm_to_nsm.pop(numeric_id, None)
             self._orphaned_vms.discard(numeric_id)
-            self._reclaim_device(reg, fail_fast=False)
+            loop._reclaim_device(reg, fail_fast=False)
             return
         reg = self._nsms.pop(numeric_id, None)
         if reg is None:
             return
+        loop = reg.engine
+        loop.core.charge(self.cost.ce_device_setup, "ce.device_teardown")
+        del loop._nsms[numeric_id]
         reg.active = False
         # Per-NSM health state dies with the registration; leaving it
         # would poison a later registration that recycles this id.
         self._last_ack.pop(numeric_id, None)
         self.quarantined.pop(numeric_id, None)
-        self._reclaim_device(reg, fail_fast=True)
+        loop._reclaim_device(reg, fail_fast=True)
         for entry in self.table.entries_for_nsm(numeric_id):
             vm_id, vm_qset, vm_sock = entry.vm_tuple
             self.table.remove_vm(entry.vm_tuple)
@@ -341,7 +348,7 @@ class CoreEngine:
                 NqeOp.ERROR_EVENT, vm_id, vm_qset, vm_sock,
                 op_data=-RESULT_ERRNO["ECONNRESET"],
                 aux={"reason": "nsm-deregistered"}, created_at=self.sim.now)
-            self._push_to_vm(error, event=True)
+            loop._push_to_vm(error, event=True)
         for vm_id, assigned in list(self.vm_to_nsm.items()):
             if assigned == numeric_id:
                 del self.vm_to_nsm[vm_id]
@@ -362,13 +369,21 @@ class CoreEngine:
         The paper leaves the VM→NSM mapping to "the users offline or some
         load balancing scheme dynamically by CoreEngine" (§4.3 fn. 1);
         this is the dynamic option, balancing by live connection count.
-        Quarantined and deregistered NSMs are never candidates — a
-        just-quarantined NSM has zero table entries and would otherwise
-        always look least-loaded.
+        An NSM homed on the VM's own core is preferred, so requests never
+        cross cores; the least-loaded NSM anywhere serves only when the
+        VM's core has none.  Quarantined and deregistered NSMs are never
+        candidates — a just-quarantined NSM has zero table entries and
+        would otherwise always look least-loaded.
         """
-        if self._vm_registration(vm_id) is None:
+        vm_reg = self._vm_registration(vm_id)
+        if vm_reg is None:
             raise ConfigurationError(f"unknown VM id {vm_id}")
-        nsm_id = self._least_loaded_nsm()
+        candidates = self._active_nsm_ids()
+        local = [nid for nid in candidates
+                 if self._nsms[nid].engine is vm_reg.engine]
+        nsm_id = self._least_loaded_nsm(among=local)
+        if nsm_id is None:
+            nsm_id = self._least_loaded_nsm(among=candidates)
         if nsm_id is None:
             raise ConfigurationError("no active NSM registered")
         self.vm_to_nsm[vm_id] = nsm_id
@@ -376,18 +391,22 @@ class CoreEngine:
         return nsm_id
 
     def _active_nsm_ids(self, exclude: Optional[int] = None) -> List[int]:
-        """Ids of in-service NSMs (cluster-wide when sharded) — the one
-        candidate list both assign_vm_auto and _pick_standby draw from."""
+        """Ids of in-service NSMs — the one candidate list both
+        assign_vm_auto and failover's standby pick draw from.
+        ``active`` alone is not trusted: a recorded quarantine
+        disqualifies the NSM even if its registration flag is out of
+        step."""
+        quarantined = self.quarantined
         return [nid for nid, reg in self._nsms.items()
-                if reg.active and nid != exclude]
+                if reg.active and nid != exclude and nid not in quarantined]
 
     def _least_loaded_nsm(self, exclude: Optional[int] = None,
                           among: Optional[List[int]] = None) -> Optional[int]:
         """The active NSM with the fewest live connections, or None.
-        ``among`` restricts the candidate pool (the sharded facade uses
-        it for same-shard placement preference).  O(active NSMs): the
-        table keeps per-NSM counts incrementally, so this never walks
-        the connection population."""
+        ``among`` restricts the candidate pool (already validated as
+        active); ties break by id order.  O(active NSMs): the table
+        keeps per-NSM counts incrementally, so this never walks the
+        connection population."""
         candidates = among if among is not None \
             else self._active_nsm_ids(exclude)
         if not candidates:
@@ -395,18 +414,62 @@ class CoreEngine:
         loads = self.table.nsm_loads()
         return min(sorted(candidates), key=lambda nid: loads.get(nid, 0))
 
+    # -- placement -------------------------------------------------------------
+
+    def shard_of_vm(self, vm_id: int) -> int:
+        """Index of the core a VM's device is homed on."""
+        reg = self._vm_registration(vm_id)
+        if reg is None:
+            raise ConfigurationError(f"unknown VM id {vm_id}")
+        return reg.engine.index
+
+    def shard_of_nsm(self, nsm_id: int) -> int:
+        """Index of the core an NSM's device is homed on."""
+        reg = self._nsm_registration(nsm_id)
+        if reg is None:
+            raise ConfigurationError(f"unknown NSM id {nsm_id}")
+        return reg.engine.index
+
+    def shard_loads(self) -> Dict[int, dict]:
+        """Per-core placement/load view — the autoscaler's scaling
+        signal and the fleet snapshot's shard report: active NSM count,
+        homed (live) VM count, and live connections served from each
+        core.  O(devices), using the table's incremental per-NSM counts,
+        never the connection population."""
+        loads = self.table.nsm_loads()
+        out: Dict[int, dict] = {
+            loop.index: {"nsms": 0, "vms": 0, "connections": 0}
+            for loop in self.shards}
+        for nid in self._active_nsm_ids():
+            row = out[self._nsms[nid].engine.index]
+            row["nsms"] += 1
+            row["connections"] += loads.get(nid, 0)
+        for reg in self._vms.values():
+            out[reg.engine.index]["vms"] += 1
+        return out
+
+    def emptiest_shard(self) -> int:
+        """Where the next NSM belongs: the core with the fewest active
+        NSMs, breaking ties by fewest live connections, then by index —
+        so an NSM fleet spread by the autoscaler converges toward one
+        serving NSM per switching core before doubling up anywhere."""
+        loads = self.shard_loads()
+        return min(loads, key=lambda index: (loads[index]["nsms"],
+                                             loads[index]["connections"],
+                                             index))
+
     # -- NSM health & failover (§8) ------------------------------------------
 
     def enable_health_monitor(self, heartbeat_interval: float = 1e-3,
                               detection_timeout: float = 5e-3) -> None:
         """Start probing NSM liveness with heartbeat NQEs.
 
-        Every ``heartbeat_interval`` the monitor pushes a HEARTBEAT into
-        each active NSM's job ring; ServiceLib answers through its
-        completion ring.  An NSM whose last ack is older than
-        ``detection_timeout`` is quarantined (see quarantine_nsm).  Off
-        by default so un-monitored timelines are byte-identical to
-        earlier builds.
+        Every ``heartbeat_interval`` each core's monitor pushes a
+        HEARTBEAT into each active NSM's job ring it homes; ServiceLib
+        answers through its completion ring.  An NSM whose last ack is
+        older than ``detection_timeout`` is quarantined (see
+        quarantine_nsm).  Off by default so un-monitored timelines are
+        byte-identical to earlier builds.
         """
         if detection_timeout <= heartbeat_interval:
             raise ConfigurationError(
@@ -415,37 +478,13 @@ class CoreEngine:
         self.heartbeat_interval = heartbeat_interval
         self.detection_timeout = detection_timeout
         self._health_enabled = True
-        if self._health_process is None:
-            self._health_process = self.sim.process(self._health_loop())
+        for loop in self.shards:
+            if loop._health_process is None:
+                loop._health_process = self.sim.process(loop._health_loop())
 
     def disable_health_monitor(self) -> None:
-        """Stop probing (the loop exits at its next tick)."""
+        """Stop probing (each monitor exits at its next tick)."""
         self._health_enabled = False
-
-    def _health_loop(self):
-        while self._running and self._health_enabled:
-            now = self.sim.now
-            for nsm_id in sorted(self._nsms):
-                reg = self._nsms[nsm_id]
-                if not reg.active:
-                    continue
-                last = self._last_ack.setdefault(nsm_id, now)
-                if now - last >= self.detection_timeout:
-                    self.quarantine_nsm(nsm_id, reason="heartbeat-timeout")
-                    continue
-                probe = NQE_POOL.acquire(NqeOp.HEARTBEAT, 0, 0, 0,
-                                         created_at=now)
-                control_ring, _ = reg.device.consume_rings(
-                    reg.device.queue_sets[0])
-                if control_ring.try_push(probe, owner=self):
-                    self.heartbeats_sent += 1
-                    reg.device.wake()
-                else:
-                    # Job ring jammed: the silence itself will trip the
-                    # detection timeout; don't leak the probe.
-                    NQE_POOL.release(probe)
-            yield self.sim.timeout(self.heartbeat_interval)
-        self._health_process = None
 
     def quarantine_nsm(self, nsm_id: int,
                        reason: str = "failure-detected") -> List[int]:
@@ -462,32 +501,33 @@ class CoreEngine:
         reg = self._nsms.get(nsm_id)
         if reg is None or not reg.active:
             return []
+        loop = reg.engine
         reg.active = False
         self.quarantined[nsm_id] = reason
         self._last_ack.pop(nsm_id, None)
-        self.nsms_quarantined += 1
-        self.core.charge(self.cost.ce_device_setup, "ce.quarantine")
-        self._reclaim_device(reg, fail_fast=True)
+        loop.nsms_quarantined += 1
+        loop.core.charge(self.cost.ce_device_setup, "ce.quarantine")
+        loop._reclaim_device(reg, fail_fast=True)
         now = self.sim.now
         for entry in self.table.entries_for_nsm(nsm_id):
             vm_id, vm_qset, vm_sock = entry.vm_tuple
             self.table.remove_vm(entry.vm_tuple)
-            self.conns_reset_on_failover += 1
+            loop.conns_reset_on_failover += 1
             error = NQE_POOL.acquire(
                 NqeOp.ERROR_EVENT, vm_id, vm_qset, vm_sock,
                 op_data=-RESULT_ERRNO["ECONNRESET"],
                 aux={"reason": reason}, created_at=now)
-            self._push_to_vm(error, event=True)
-        standby = self._pick_standby(exclude=nsm_id)
+            loop._push_to_vm(error, event=True)
+        standby = self._least_loaded_nsm(exclude=nsm_id)
         moved: List[int] = []
         if standby is not None:
             for vm_id, assigned in sorted(self.vm_to_nsm.items()):
                 if assigned == nsm_id:
                     self.vm_to_nsm[vm_id] = standby
                     moved.append(vm_id)
-            self.vms_failed_over += len(moved)
-        if self.obs is not None:
-            self.obs.on_nsm_quarantined(nsm_id, reason, len(moved))
+            loop.vms_failed_over += len(moved)
+        if loop.obs is not None:
+            loop.obs.on_nsm_quarantined(nsm_id, reason, len(moved))
         for vm_id in moved:
             for listener in self.failover_listeners:
                 listener(vm_id, nsm_id, standby)
@@ -520,9 +560,10 @@ class CoreEngine:
            injection — resume is an operator action, not a guest MMIO
            write), and the parked ops flow to the target.
 
-        On any failure the VM is unparked and resumed before the error
-        propagates, so a botched migration degrades to PR 3's failover
-        path instead of wedging the guest.
+        The drain and resume run on the VM's home loop, which owns its
+        rings' consumer ends.  On any failure the VM is unparked and
+        resumed before the error propagates, so a botched migration
+        degrades to the failover path instead of wedging the guest.
         """
         vm_reg = self._vm_registration(vm_id)
         if vm_reg is None or not vm_reg.active:
@@ -544,10 +585,11 @@ class CoreEngine:
             raise ConfigurationError(
                 f"source NSM {source_nsm_id} is not active")
 
+        loop = vm_reg.engine
         started = self.sim.now
         vm_reg.parked = True
         try:
-            yield from self._drain_vm_rings(vm_reg)
+            yield from loop._drain_vm_rings(vm_reg)
             yield from self._await_nsm_quiescent(source_reg, source_lib,
                                                  vm_id)
             blackout_started = self.sim.now
@@ -567,13 +609,13 @@ class CoreEngine:
             source_lib.detach_vm_region(vm_id)
         except BaseException:
             vm_reg.parked = False
-            self._resume_device(vm_reg)
+            loop._resume_device(vm_reg)
             raise
         device = vm_reg.device
         parked_ops = sum(len(ring) for qs in device.queue_sets
                          for ring in device.produce_rings(qs))
         vm_reg.parked = False
-        self._resume_device(vm_reg)
+        loop._resume_device(vm_reg)
         resumed = self.sim.now
         record = {
             "vm_id": vm_id,
@@ -589,15 +631,289 @@ class CoreEngine:
             "total_sec": round(resumed - started, 9),
             "tcbs": [record["tcb"] for record in exports],
         }
-        self.vms_migrated += 1
-        self.conns_migrated += len(exports)
-        self.migration_parked_ops += parked_ops
+        loop.vms_migrated += 1
+        loop.conns_migrated += len(exports)
+        loop.migration_parked_ops += parked_ops
         self.migrations.append(record)
-        if self.obs is not None:
-            self.obs.on_migration(vm_id, source_nsm_id, target_nsm_id,
+        if loop.obs is not None:
+            loop.obs.on_migration(vm_id, source_nsm_id, target_nsm_id,
                                   record["blackout_sec"], len(exports),
                                   parked_ops)
         return record
+
+    def _await_nsm_quiescent(self, source_reg: _Registration, source_lib,
+                             vm_id: int):
+        """Poll until the source NSM holds no unconsumed job/send NQE of
+        the migrating VM and no handler is mid-flight.  Only the consume
+        side matters: completion/receive rings oscillate under live
+        inbound traffic, and export quiesces the callbacks that feed
+        them."""
+        device = source_reg.device
+        while True:
+            if source_lib.busy_handlers == 0:
+                pending = any(
+                    nqe is not None and nqe.vm_id == vm_id
+                    for qs in device.queue_sets
+                    for ring in device.consume_rings(qs)
+                    for nqe in ring.snapshot())
+                if not pending:
+                    return
+            yield self.sim.timeout(5e-6)
+
+    # -- isolation (§4.4) --------------------------------------------------------
+
+    def set_bandwidth_limit(self, vm_id: int, bits_per_sec: float,
+                            burst_bits: Optional[float] = None) -> None:
+        """Cap a VM's egress bandwidth through NetKernel (Fig. 21)."""
+        self._bw_limits[vm_id] = TokenBucket(
+            self.sim, bits_per_sec, burst_bits or bits_per_sec * 0.01)
+
+    def clear_bandwidth_limit(self, vm_id: int) -> None:
+        """Remove a VM's bandwidth cap (it becomes work-conserving)."""
+        self._bw_limits.pop(vm_id, None)
+
+    def set_ops_limit(self, vm_id: int, nqes_per_sec: float) -> None:
+        """Cap a VM's NQE (operation) rate (§4.4)."""
+        self._op_limits[vm_id] = TokenBucket(
+            self.sim, nqes_per_sec, nqes_per_sec * 0.01)
+
+    # -- overload control (repro.core.overload) --------------------------------
+
+    def enable_overload_control(self, **params):
+        """Arm one overload governor per core (idempotent) and return
+        shard 0's.
+
+        ``params`` are forwarded to :class:`OverloadGovernor`; each
+        governor detects and governs over the devices its core homes.
+        Off by default so un-governed timelines are byte-identical to
+        earlier builds; with it on, GuestLibs gate op issue on
+        ``admit()``, ServiceLibs clamp their receive windows, and the
+        switch arms its weight-aware EAGAIN shed backstop.
+        """
+        from repro.core.overload import OverloadGovernor
+        for loop in self.shards:
+            if loop.overload is None:
+                loop.overload = OverloadGovernor(self.sim, loop, **params)
+        self.overload = self.shards[0].overload
+        return self.overload
+
+    def disable_overload_control(self) -> None:
+        """Disarm every governor: its sampler exits at the next tick and
+        its level pins to 0.  The governors stay referenced so
+        end-of-run introspection (stats, fingerprints) still sees their
+        counters."""
+        for governor in self.overload_governors():
+            governor.stop()
+
+    def overload_governors(self) -> list:
+        """Every core's governor, in core order (empty when disabled)."""
+        return [loop.overload for loop in self.shards
+                if loop.overload is not None]
+
+    # -- devices -----------------------------------------------------------------
+
+    def nsm_device(self, nsm_id: int) -> NKDevice:
+        """The NK device registered for an NSM id."""
+        return self._nsms[nsm_id].device
+
+    def vm_device(self, vm_id: int) -> NKDevice:
+        """The NK device registered for a VM id."""
+        return self._vms[vm_id].device
+
+    def _vm_registration(self, vm_id: int) -> Optional[_Registration]:
+        return self._vms.get(vm_id)
+
+    def _nsm_registration(self, nsm_id: int) -> Optional[_Registration]:
+        return self._nsms.get(nsm_id)
+
+    # -- loop control --------------------------------------------------------------
+
+    def kick(self) -> None:
+        """Manual doorbell: conservatively mark every registered device
+        on every loop (devices ring their home loop directly)."""
+        for loop in self.shards:
+            loop.kick()
+
+    def stop(self) -> None:
+        """Shut every switching loop down (used by teardown tests)."""
+        for loop in self.shards:
+            loop._running = False
+            loop.kick()
+
+    # -- introspection -----------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Lifetime switching counters: the per-core counters summed,
+        the table size, and each core's own row under ``shard.<i>``."""
+        per_shard = [loop.stats() for loop in self.shards]
+        out: Dict[str, object] = {
+            "shards": len(self.shards),
+            "connections": len(self.table),
+        }
+        for key in per_shard[0]:
+            if key not in ("avg_batch", "connections"):
+                out[key] = sum(stats[key] for stats in per_shard)
+        out["avg_batch"] = (out["nqes_switched"] / out["batches"]
+                            if out["batches"] else 0.0)
+        for index, stats in enumerate(per_shard):
+            out[f"shard.{index}"] = stats
+        return out
+
+    def per_vm_drops(self) -> Dict[int, dict]:
+        """Per-VM loss attribution: terminal drops, backpressure drops,
+        and overload sheds, keyed by VM id and summed over cores."""
+        out: Dict[int, dict] = {}
+        for loop in self.shards:
+            for key, counts in (("dropped", loop.vm_dropped),
+                                ("dropped_backpressure",
+                                 loop.vm_dropped_backpressure),
+                                ("shed", loop.vm_shed)):
+                for vm_id, count in counts.items():
+                    row = out.setdefault(vm_id, {
+                        "dropped": 0, "dropped_backpressure": 0, "shed": 0})
+                    row[key] += count
+        return dict(sorted(out.items()))
+
+    def isolation_state(self) -> dict:
+        """Per-VM token-bucket fill levels (bw in bits, ops in NQEs)."""
+        state: Dict[int, dict] = {}
+        for kind, limits in (("bw", self._bw_limits),
+                             ("ops", self._op_limits)):
+            for vm_id, bucket in limits.items():
+                bucket._refill()
+                state.setdefault(vm_id, {})[kind] = {
+                    "rate": bucket.rate,
+                    "burst": bucket.burst,
+                    "tokens": bucket.tokens,
+                }
+        return state
+
+
+class _SwitchLoop:
+    """One core's switching loop: a simulation process on that core.
+
+    It services the devices homed on its core and keeps its own ready
+    heaps, scratch, doorbell, handoff inbox, counters, health process
+    and overload governor.  The control plane's objects it touches per
+    NQE (connection table, device directory, token buckets, hugepage
+    regions) and the obs/faults/overload hooks are one attribute hop
+    away; the rest of the control plane is reached through ``ce``.
+    """
+
+    def __init__(self, ce: CoreEngine, index: int, core: Core):
+        self.ce = ce
+        self.index = index
+        self.sim = ce.sim
+        self.core = core
+        self.cost = ce.cost
+        self.batch_size = ce.batch_size
+        #: Reusable drain scratch: grown once to batch_size, reread every
+        #: pass, never reallocated.
+        self._scratch: List[Nqe] = []
+
+        self.table = ce.table
+        self.vm_to_nsm = ce.vm_to_nsm
+        self._vm_dir = ce._vms
+        self._nsm_dir = ce._nsms
+        self._orphaned_vms = ce._orphaned_vms
+        self._bw_limits = ce._bw_limits
+        self._op_limits = ce._op_limits
+        self._vm_regions = ce._vm_regions
+        self._last_ack = ce._last_ack
+        #: The devices homed on this core.
+        self._vms: Dict[int, _Registration] = {}
+        self._nsms: Dict[int, _Registration] = {}
+
+        # Ready-set scheduler state.  Two heaps replicate a full rescan's
+        # pass structure: _current_pass holds devices to service this
+        # pass in key order, _next_pass collects devices that became
+        # ready at or behind the scan position.
+        self._current_pass: List[Tuple[Tuple[int, int], _Registration]] = []
+        self._next_pass: List[Tuple[Tuple[int, int], _Registration]] = []
+        self._pass_pos: Optional[Tuple[int, int]] = None
+        self._pass_counter = 0
+        self._in_pass = False
+
+        #: Cross-core handoff inbox: (ring, nqe, target_device) triples
+        #: pushed by other loops, delivered at the top of the next pass
+        #: through the stock delivery path (fault hooks, backpressure
+        #: budget and liveness checks apply once, on this side).
+        self._inbox: deque = deque()
+        self._health_process = None
+        self.obs = None
+        self.faults = None
+        self.overload = None
+
+        # Statistics.
+        self.nqes_switched = 0
+        self.batches = 0
+        self.vms_migrated = 0
+        self.conns_migrated = 0
+        self.migration_parked_ops = 0
+        self.rate_limited_stalls = 0
+        self.nqes_dropped = 0
+        self.nqes_dropped_backpressure = 0
+        self.nqes_failed_fast = 0
+        #: NQEs failed fast with -EAGAIN by the overload shed backstop.
+        self.nqes_shed = 0
+        # Per-VM drop attribution: the counters above answer "how much
+        # was lost", these answer "whose".  Keyed by the NQE's vm_id in
+        # either direction, so a tenant's losses are attributable
+        # through obs and GET /fleet.
+        self.vm_dropped: Dict[int, int] = {}
+        self.vm_dropped_backpressure: Dict[int, int] = {}
+        self.vm_shed: Dict[int, int] = {}
+        self.heartbeats_sent = 0
+        self.heartbeat_acks = 0
+        self.nsms_quarantined = 0
+        self.vms_failed_over = 0
+        self.conns_reset_on_failover = 0
+        #: Stall timeouts disarmed because the doorbell won the any_of
+        #: race (each one used to linger in the event heap as a no-op).
+        self.stale_wakeups = 0
+        self.handoffs_in = 0
+        self.handoffs_out = 0
+
+        #: Doorbell state.  ``_kicked`` is the lost-doorbell guard: set by
+        #: every kick, cleared at the top of each pass, checked before
+        #: sleeping.  ``_doorbell_waiter`` exists only while the loop is
+        #: asleep; a kick landing while the switch is awake just sets the
+        #: flag and queues *no* event (the old always-an-Event doorbell
+        #: processed one ghost event per mid-pass kick).
+        self._kicked = False
+        self._doorbell_waiter: Optional[object] = None
+        self._running = True
+        self._process = self.sim.process(self._run_ready())
+
+    # -- health ------------------------------------------------------------------
+
+    def _health_loop(self):
+        ce = self.ce
+        while self._running and ce._health_enabled:
+            now = self.sim.now
+            for nsm_id in sorted(self._nsms):
+                reg = self._nsms[nsm_id]
+                if not reg.active:
+                    continue
+                last = self._last_ack.setdefault(nsm_id, now)
+                if now - last >= ce.detection_timeout:
+                    ce.quarantine_nsm(nsm_id, reason="heartbeat-timeout")
+                    continue
+                probe = NQE_POOL.acquire(NqeOp.HEARTBEAT, 0, 0, 0,
+                                         created_at=now)
+                control_ring, _ = reg.device.consume_rings(
+                    reg.device.queue_sets[0])
+                if control_ring.try_push(probe, owner=self):
+                    self.heartbeats_sent += 1
+                    reg.device.wake()
+                else:
+                    # Job ring jammed: the silence itself will trip the
+                    # detection timeout; don't leak the probe.
+                    NQE_POOL.release(probe)
+            yield self.sim.timeout(ce.heartbeat_interval)
+        self._health_process = None
+
+    # -- reclaim & fail-fast -------------------------------------------------------
 
     def _drain_vm_rings(self, reg: _Registration):
         """One bounded sweep over a parked VM's produce rings: everything
@@ -629,36 +945,12 @@ class CoreEngine:
                             yield from self._deliver(dest[0], nqe, dest[1])
                         self.nqes_switched += 1
 
-    def _await_nsm_quiescent(self, source_reg: _Registration, source_lib,
-                             vm_id: int):
-        """Poll until the source NSM holds no unconsumed job/send NQE of
-        the migrating VM and no handler is mid-flight.  Only the consume
-        side matters: completion/receive rings oscillate under live
-        inbound traffic, and export quiesces the callbacks that feed
-        them."""
-        device = source_reg.device
-        while True:
-            if source_lib.busy_handlers == 0:
-                pending = any(
-                    nqe is not None and nqe.vm_id == vm_id
-                    for qs in device.queue_sets
-                    for ring in device.consume_rings(qs)
-                    for nqe in ring.snapshot())
-                if not pending:
-                    return
-            yield self.sim.timeout(5e-6)
-
     def _resume_device(self, reg: _Registration) -> None:
         """Doorbell a freshly unparked device.  Unlike kick(), never
         subject to injected doorbell loss: resume is an operator-plane
         action, not a guest MMIO write."""
         self._mark_ready(reg)
         self._wake_switch()
-
-    def _pick_standby(self, exclude: int) -> Optional[int]:
-        """The least-loaded active NSM other than ``exclude`` (the same
-        live-connection-count signal assign_vm_auto balances on)."""
-        return self._least_loaded_nsm(exclude=exclude)
 
     def _reclaim_device(self, reg: _Registration, fail_fast: bool) -> None:
         """Drain every ring of a departed device.  SPSC claims are
@@ -758,9 +1050,13 @@ class CoreEngine:
     def _push_to_vm(self, nqe: Nqe, event: bool) -> None:
         """Best-effort synchronous delivery into a VM's consume rings
         (failover paths only — the normal datapath goes through _deliver).
-        A full ring here drops the element rather than blocking the
-        caller; the VM's pollers are live, so this is a last resort."""
-        vm_reg = self._vm_registration(nqe.vm_id)
+        Runs on the VM's home loop, the producer of those rings.  A full
+        ring here drops the element rather than blocking the caller; the
+        VM's pollers are live, so this is a last resort."""
+        vm_reg = self._vm_dir.get(nqe.vm_id)
+        if vm_reg is not None and vm_reg.engine is not self:
+            vm_reg.engine._push_to_vm(nqe, event)
+            return
         if vm_reg is None or not vm_reg.active:
             self._drop_nqe(nqe)
             return
@@ -785,78 +1081,6 @@ class CoreEngine:
         if buffer is not None and not buffer.freed:
             buffer.free()
 
-    def set_bandwidth_limit(self, vm_id: int, bits_per_sec: float,
-                            burst_bits: Optional[float] = None) -> None:
-        """Cap a VM's egress bandwidth through NetKernel (Fig. 21)."""
-        self._bw_limits[vm_id] = TokenBucket(
-            self.sim, bits_per_sec, burst_bits or bits_per_sec * 0.01)
-
-    def clear_bandwidth_limit(self, vm_id: int) -> None:
-        """Remove a VM's bandwidth cap (it becomes work-conserving)."""
-        self._bw_limits.pop(vm_id, None)
-
-    def set_ops_limit(self, vm_id: int, nqes_per_sec: float) -> None:
-        """Cap a VM's NQE (operation) rate (§4.4)."""
-        self._op_limits[vm_id] = TokenBucket(
-            self.sim, nqes_per_sec, nqes_per_sec * 0.01)
-
-    # -- overload control (repro.core.overload) --------------------------------
-
-    def enable_overload_control(self, **params):
-        """Arm the overload governor for this engine (idempotent).
-
-        ``params`` are forwarded to :class:`OverloadGovernor`.  Off by
-        default so un-governed timelines are byte-identical to earlier
-        builds; with it on, GuestLibs gate op issue on ``admit()``,
-        ServiceLibs clamp their receive windows, and the switch arms its
-        weight-aware EAGAIN shed backstop.
-        """
-        if self.overload is not None:
-            return self.overload
-        from repro.core.overload import OverloadGovernor
-        self.overload = OverloadGovernor(self.sim, self, **params)
-        return self.overload
-
-    def disable_overload_control(self) -> None:
-        """Disarm the governor: its sampler exits at the next tick and
-        its level pins to 0.  The governor object stays referenced so
-        end-of-run introspection (stats, fingerprints) still sees its
-        counters."""
-        if self.overload is not None:
-            self.overload.stop()
-
-    def nsm_device(self, nsm_id: int) -> NKDevice:
-        """The NK device registered for an NSM id."""
-        return self._nsms[nsm_id].device
-
-    def vm_device(self, vm_id: int) -> NKDevice:
-        """The NK device registered for a VM id."""
-        return self._vms[vm_id].device
-
-    # -- registration lookup (sharding override points) ----------------------
-
-    def _vm_registration(self, vm_id: int) -> Optional[_Registration]:
-        """The registration for ``vm_id``, wherever it is homed.  A shard
-        engine overrides this to consult the cluster directory."""
-        return self._vms.get(vm_id)
-
-    def _nsm_registration(self, nsm_id: int) -> Optional[_Registration]:
-        """The registration for ``nsm_id``, wherever it is homed."""
-        return self._nsms.get(nsm_id)
-
-    #: True on engines whose _pre_pass does real work (the shard engine's
-    #: handoff drain); the switching loop skips the generator round-trip
-    #: entirely when False.  A class attribute so the skip costs one
-    #: attribute load per pass.
-    _HAS_PRE_PASS = False
-
-    def _pre_pass(self):
-        """Hook run at the top of every switching pass.  The base switch
-        has nothing to do; a shard engine drains its inbound cross-shard
-        handoff queue here."""
-        return
-        yield  # pragma: no cover — makes this a generator
-
     # ----------------------------------------------------------------- loop --
 
     def kick(self, device: Optional[NKDevice] = None) -> None:
@@ -864,7 +1088,7 @@ class CoreEngine:
 
         ``device`` identifies the producer so the ready-set scheduler can
         mark exactly it dirty; ``None`` (manual kicks, ``stop()``)
-        conservatively marks every registered device.
+        conservatively marks every device homed here.
         """
         if (device is not None and self.faults is not None
                 and self.faults.should_drop_doorbell(device)):
@@ -899,11 +1123,6 @@ class CoreEngine:
         if waiter is not None:
             self._doorbell_waiter = None
             waiter.succeed()
-
-    def stop(self) -> None:
-        """Shut the switching loop down (used by teardown tests)."""
-        self._running = False
-        self.kick()
 
     def _mark_ready(self, reg: _Registration) -> None:
         """Enqueue a device into the dirty set, placed where a full
@@ -952,8 +1171,8 @@ class CoreEngine:
             # doorbell (lost-doorbell race).
             self._kicked = False
             self._pass_counter += 1
-            if self._HAS_PRE_PASS:
-                yield from self._pre_pass()
+            if self._inbox:
+                yield from self._drain_inbox()
             self._in_pass = True
             progressed = False
             stall: Optional[float] = None
@@ -991,6 +1210,15 @@ class CoreEngine:
                 continue
             yield from self._idle_sleep(stall)
 
+    def _drain_inbox(self):
+        """Deliver the NQEs other loops handed to this one, in order."""
+        inbox = self._inbox
+        while inbox:
+            ring, nqe, device = inbox.popleft()
+            self.handoffs_in += 1
+            if not self._deliver_fast(ring, nqe, device):
+                yield from self._deliver(ring, nqe, device)
+
     def _idle_sleep(self, stall: Optional[float]):
         """Sleep until a doorbell or (when rate-stalled) token refill.
 
@@ -1025,7 +1253,7 @@ class CoreEngine:
         """Drain one device's produced rings; returns True, None, or a
         float (seconds until rate-limit tokens allow progress).
 
-        Each queue set drains into the engine-owned scratch list (zero
+        Each queue set drains into the loop-owned scratch list (zero
         list allocations), is charged one ``ce_batch_cycles``, and is
         then switched NQE by NQE through :meth:`_switch_nqe`.  A
         rate-limited VM fills the scratch through the §4.4 admission
@@ -1161,7 +1389,7 @@ class CoreEngine:
                     return None
                 raise ConfigurationError(
                     f"VM {reg.numeric_id} has no NSM assigned")
-            nsm_reg = self._nsm_registration(nsm_id)
+            nsm_reg = self._nsm_dir.get(nsm_id)
             if nsm_reg is None or not nsm_reg.active:
                 # Assigned NSM is dead and no standby took over: fail
                 # fast rather than queueing toward a corpse.
@@ -1173,7 +1401,7 @@ class CoreEngine:
             if nqe.op == NqeOp.ACCEPT_ATTACH:
                 # The NSM socket already exists; complete the entry now.
                 self.table.complete(vm_tuple, nqe.op_data)
-        nsm_reg = self._nsm_registration(entry.nsm_id)
+        nsm_reg = self._nsm_dir.get(entry.nsm_id)
         if nsm_reg is None or not nsm_reg.active:
             # The serving NSM died between insert and this switch.
             self.table.remove_vm(vm_tuple)
@@ -1195,7 +1423,7 @@ class CoreEngine:
             self._last_ack[reg.numeric_id] = self.sim.now
             NQE_POOL.release(nqe)
             return None
-        vm_reg = self._vm_registration(nqe.vm_id)
+        vm_reg = self._vm_dir.get(nqe.vm_id)
         if vm_reg is None:
             self._drop_nqe(nqe)  # VM shut down
             return None
@@ -1225,14 +1453,24 @@ class CoreEngine:
     def _deliver_fast(self, ring, nqe: Nqe, target_device: NKDevice) -> bool:
         """Synchronous delivery attempt.  Returns True
         when the NQE was fully handled — pushed and the consumer woken,
-        or dropped because the target died.  Returns False when the
-        generator slow path must take over (active fault injection, or a
-        full ring that needs a bounded stall); it has consumed nothing in
-        that case, so :meth:`_deliver` re-runs the same checks."""
+        handed to the target's home loop, or dropped because the target
+        died.  Returns False when the generator slow path must take over
+        (active fault injection, or a full ring that needs a bounded
+        stall); it has consumed nothing in that case, so :meth:`_deliver`
+        re-runs the same checks."""
+        target_reg = target_device.ce_registration
+        home = target_reg.engine
+        if home is not self:
+            # Cross-core handoff: only the target's home loop may produce
+            # into its rings.  Push + doorbell, no yields, so a handoff
+            # never needs the stalling slow path.
+            self.handoffs_out += 1
+            home._inbox.append((ring, nqe, target_device))
+            home._wake_switch()
+            return True
         if self.faults is not None:
             return False
-        target_reg = target_device.ce_registration
-        if target_reg is not None and not target_reg.active:
+        if not target_reg.active:
             self._drop_nqe(nqe)
             return True
         queued = ring._items
@@ -1290,7 +1528,7 @@ class CoreEngine:
                 self._drop_nqe(nqe)  # consumer died while we stalled
                 return
             if deadline is None:
-                deadline = self.sim.now + self.deliver_stall_budget
+                deadline = self.sim.now + self.ce.deliver_stall_budget
             elif self.sim.now >= deadline:
                 self._count_backpressure_drop(nqe.vm_id)
                 self._drop_nqe(nqe)
@@ -1322,7 +1560,7 @@ class CoreEngine:
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> dict:
-        """Lifetime switching counters (NQEs, batches, table size)."""
+        """This core's lifetime switching counters."""
         return {
             "nqes_switched": self.nqes_switched,
             "batches": self.batches,
@@ -1344,33 +1582,6 @@ class CoreEngine:
             "migration_parked_ops": self.migration_parked_ops,
             "sched.passes": self._pass_counter,
             "sched.stale_wakeups": self.stale_wakeups,
+            "handoffs_in": self.handoffs_in,
+            "handoffs_out": self.handoffs_out,
         }
-
-    def per_vm_drops(self) -> Dict[int, dict]:
-        """Per-VM loss attribution: terminal drops, backpressure drops,
-        and overload sheds, keyed by VM id (union of all three maps)."""
-        out: Dict[int, dict] = {}
-        for vm_id in sorted(set(self.vm_dropped)
-                            | set(self.vm_dropped_backpressure)
-                            | set(self.vm_shed)):
-            out[vm_id] = {
-                "dropped": self.vm_dropped.get(vm_id, 0),
-                "dropped_backpressure":
-                    self.vm_dropped_backpressure.get(vm_id, 0),
-                "shed": self.vm_shed.get(vm_id, 0),
-            }
-        return out
-
-    def isolation_state(self) -> dict:
-        """Per-VM token-bucket fill levels (bw in bits, ops in NQEs)."""
-        state: Dict[int, dict] = {}
-        for kind, limits in (("bw", self._bw_limits),
-                             ("ops", self._op_limits)):
-            for vm_id, bucket in limits.items():
-                bucket._refill()
-                state.setdefault(vm_id, {})[kind] = {
-                    "rate": bucket.rate,
-                    "burst": bucket.burst,
-                    "tokens": bucket.tokens,
-                }
-        return state

@@ -282,13 +282,10 @@ class GuestLib:
     # -- overload admission (repro.core.overload) ---------------------------------
 
     def _governor(self):
-        """This VM's home-shard overload governor, or None when overload
+        """This VM's home-core overload governor, or None when overload
         control is disabled (the common case: two attribute loads)."""
         reg = self.device.ce_registration
-        if reg is None:
-            return None
-        engine = reg.engine
-        return None if engine is None else engine.overload
+        return None if reg is None else reg.engine.overload
 
     def _backoff_delay(self, attempt: int) -> float:
         """Seeded, jittered exponential backoff: the nominal doubling

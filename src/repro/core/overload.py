@@ -6,8 +6,8 @@ natural congestion point: past capacity, the seed behaviour was a cliff
 host-global drop counters, and guests learned nothing until a deadline
 fired.  This module turns the knee into a plateau.
 
-One :class:`OverloadGovernor` runs per CoreEngine (per *shard* when the
-switch is sharded), sampling two deterministic pressure signals at a
+One :class:`OverloadGovernor` runs per CoreEngine switching loop (one
+per core), sampling two deterministic pressure signals at a
 fixed simulated cadence:
 
 * **Ring-occupancy watermarks** — the windowed high-watermark
@@ -204,7 +204,7 @@ class OverloadGovernor:
 
     def _sampler(self):
         interval = self.sample_interval
-        while self._enabled and getattr(self.engine, "_running", True):
+        while self._enabled and self.engine._running:
             yield self.sim.timeout(interval)
             if not self._enabled:
                 break
@@ -245,7 +245,7 @@ class OverloadGovernor:
             self.level_transitions += 1
             old = self.level
             self.level = new_level
-            obs = getattr(self.engine, "obs", None)
+            obs = self.engine.obs
             if obs is not None:
                 obs.on_overload_level(self.engine, old, new_level,
                                       occ, lat)
@@ -303,16 +303,12 @@ class OverloadGovernor:
 
 
 def governor_for_device(device) -> Optional[OverloadGovernor]:
-    """The governor covering a device's home engine (shard), or None.
+    """The governor covering a device's home switching loop, or None.
 
     GuestLib and ServiceLib resolve their governor through the device's
-    registration so sharded switches naturally give every guest its home
-    shard's detector.
+    registration, so every guest gets its home core's detector.
     """
     reg = getattr(device, "ce_registration", None)
     if reg is None:
         return None
-    engine = reg.engine
-    if engine is None:
-        return None
-    return engine.overload
+    return reg.engine.overload

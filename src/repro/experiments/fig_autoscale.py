@@ -148,7 +148,7 @@ def run_autoscale_scenario(seed: int = 0, ticks: int = 14,
         "forward_entries": forward_entry_count(host, auto.retired_stacks),
         "table_entries": len(host.coreengine.table),
         "pool_delta": NQE_POOL.outstanding - pool_before,
-        "handoffs": getattr(host.coreengine, "handoffs_in", 0),
+        "handoffs": host.coreengine.stats()["handoffs_in"],
         "peak_nsms": max_nsms_seen(report),
         # End-state shard occupancy (shard-aware spawn should leave the
         # surviving fleet spread one-NSM-per-shard before doubling up).
@@ -190,7 +190,7 @@ def run(seed: int = 0, ticks: int = 14, ce_shards: int = 2,
             problems.append(f"{label}: pool delta {result['pool_delta']}")
         if counters["migrations"] == 0:
             problems.append(f"{label}: autoscaler never migrated a VM")
-        shard_loads = result["shard_loads"] or {}
+        shard_loads = result["shard_loads"]
         rows.append([
             label,
             result["workload"]["rtts"],

@@ -38,6 +38,19 @@ REQUEST_BYTES = 256
 REQUEST_PACING = 0.5e-3
 
 
+#: The CoreEngine counters a switch fingerprint covers: the key set of a
+#: one-core ``stats()``.  Naming them keeps the fingerprint fixed when
+#: ``stats()`` gains keys (the per-shard rows, handoff counts).
+SWITCH_COUNTERS = (
+    "nqes_switched", "batches", "avg_batch", "connections",
+    "rate_limited_stalls", "nqes_dropped", "nqes_dropped_backpressure",
+    "nqes_failed_fast", "nqes_shed", "heartbeats_sent", "heartbeat_acks",
+    "nsms_quarantined", "vms_failed_over", "conns_reset_on_failover",
+    "vms_migrated", "conns_migrated", "migration_parked_ops",
+    "sched.passes", "sched.stale_wakeups",
+)
+
+
 def switch_fingerprint(payload: dict) -> str:
     """SHA-256 over a JSON-canonicalized counter dict."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -201,7 +214,7 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
             "events_processed": sim.events_processed,
             "events_cancelled": sim.events_cancelled,
         },
-        "ce": ce_stats,
+        "ce": {key: ce_stats[key] for key in SWITCH_COUNTERS},
         "client": dict(counters, recovered_at=(
             round(counters["recovered_at"], 9)
             if counters["recovered_at"] is not None else None)),

@@ -27,7 +27,8 @@ from typing import Optional
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL
 from repro.errors import ConfigurationError, SocketError, TimedOutError
-from repro.faults.chaos import ECHO_PORT, _echo_server, switch_fingerprint
+from repro.faults.chaos import (ECHO_PORT, SWITCH_COUNTERS, _echo_server,
+                                switch_fingerprint)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, named_plan
 from repro.net.fabric import Network
@@ -182,7 +183,7 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
             "events_processed": sim.events_processed,
             "events_cancelled": sim.events_cancelled,
         },
-        "ce": ce_stats,
+        "ce": {key: ce_stats[key] for key in SWITCH_COUNTERS},
         "client": dict(counters),
         "nsms": {
             name: nsm.servicelib.stats()

@@ -3,9 +3,9 @@
 Each benchmark is a callable ``fn(quick: bool) -> dict`` returning at
 least ``{"wall_s", "events", "peak_rss"}`` (``peak_rss`` in KiB, from
 ``getrusage``), plus a ``fingerprint`` of the simulated timeline where
-one exists.  The sharded fig. 8 benches also run a standalone 1-shard
-reference and report whether every shard reproduced it bit for bit
-(``fingerprint_match``).
+one exists.  The sharded fig. 8 benches also run the same workload on
+one shard as a reference and report whether every shard reproduced it
+bit for bit (``fingerprint_match``).
 
 Workload sizes are fixed constants (no RNG, no clock inputs), so the
 simulated side of every result is reproducible bit-for-bit.
@@ -69,45 +69,38 @@ def bench_events(quick: bool) -> dict:
 def _mux_workload(n_vms: int, active_vms: int,
                   nqes_per_active: int, burst: int = 1,
                   period: float = 20e-6, ring_slots: int = 256,
-                  seed_conns: bool = False) -> dict:
-    """Fig. 8-style multiplexing on raw NK devices.
+                  seed_conns: bool = False, n_shards: int = 1) -> dict:
+    """Fig. 8-style multiplexing on raw NK devices, over ``n_shards``
+    switching cores.
 
-    ``n_vms`` devices register with one CoreEngine; ``active_vms`` of
-    them produce control NQEs (``burst`` per doorbell, paced ``period``
-    apart, staggered so wake-ups usually find one dirty device).  A raw
-    ring consumer on the NSM device echoes every request as an
-    OP_RESULT; per-VM drainers recycle the responses.  Returns a
-    fingerprint of the simulated timeline.
+    Each shard gets one NSM plus ``n_vms`` VMs pinned to the same shard
+    and assigned to that NSM; ``active_vms`` of them produce control
+    NQEs (``burst`` per doorbell, paced ``period`` apart, staggered by
+    their within-shard index so wake-ups usually find one dirty device).
+    A raw ring consumer on each NSM device echoes every request as an
+    OP_RESULT; per-VM drainers recycle the responses.  The partition is
+    traffic-closed, so no NQE crosses shards and every shard's counters
+    must be bit-identical to a one-shard run of the same size.
 
     ``seed_conns`` exercises the connection-plane control path at boot:
-    every VM is placed with ``assign_vm_auto`` (which consults
-    ``nsm_loads`` per call) and gets one established connection-table
-    entry.  With the indexed table that is O(VMs) total; a table that
-    regresses to full scans makes it O(VMs x connections) and blows the
-    bench's wall-time floor.
+    every VM is placed with ``assign_vm_auto`` (shard-aware — the result
+    must be the VM's home-shard NSM, counted in ``cohomed``) and gets one
+    established connection-table entry.  With the indexed table that is
+    O(VMs) total; a table that regresses to full scans makes it O(VMs x
+    connections) and blows the bench's wall-time floor.
+
+    Returns the timeline's totals plus each shard's
+    :data:`_SHARD_FP_KEYS` fingerprint under ``per_shard``.
     """
     sim = Simulator()
-    core = Core(sim, name="bench.ce", hz=DEFAULT_COST_MODEL.core_hz)
+    cores = [Core(sim, name=f"bench.ce{i}", hz=DEFAULT_COST_MODEL.core_hz)
+             for i in range(n_shards)]
     # Small rings keep device setup cheap (4096-slot rings would make
     # allocation, not scheduling, dominate the 1000-VM bench).
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=ring_slots)
-    nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
-    vms = []
-    for i in range(n_vms):
-        vm_id, vm_dev = engine.register_vm(f"vm{i}", queue_sets=1)
-        if seed_conns:
-            assigned = engine.assign_vm_auto(vm_id)
-            # One established connection per VM: VM socket 1 (the same
-            # socket id the producers use, so switching hits this entry
-            # instead of inserting) mapped to a unique NSM socket id.
-            engine.table.insert((vm_id, 0, 1), assigned, 0)
-            engine.table.complete((vm_id, 0, 1), nsm_socket_id=vm_id)
-        else:
-            engine.assign_vm(vm_id, nsm_id)
-        vms.append((vm_id, vm_dev))
-    received = [0]
+    engine = CoreEngine(sim, cores, batch_size=8, ring_slots=ring_slots)
+    received = [0] * n_shards
 
-    def responder():
+    def responder(shard, nsm_dev):
         owner = object()
         qs = nsm_dev.queue_sets[0]
         job_ring, send_ring = nsm_dev.consume_rings(qs)
@@ -138,7 +131,7 @@ def _mux_workload(n_vms: int, active_vms: int,
                 for i in range(n):
                     nqe = scratch[i]
                     scratch[i] = None
-                    received[0] += 1
+                    received[shard] += 1
                     backlog.append(nqe.response(NqeOp.OP_RESULT))
                     NQE_POOL.release(nqe)
             if not progressed:
@@ -146,7 +139,6 @@ def _mux_workload(n_vms: int, active_vms: int,
                     yield sim.timeout(1e-6)
                 else:
                     yield nsm_dev.wait_for_inbound()
-
 
     def drainer(vm_dev):
         owner = object()
@@ -177,29 +169,71 @@ def _mux_workload(n_vms: int, active_vms: int,
             vm_dev.ring_doorbell()
             yield sim.timeout(period)
 
-    sim.process(responder())
-    for _vm_id, vm_dev in vms:
-        sim.process(drainer(vm_dev))
-    for index, (vm_id, vm_dev) in enumerate(vms[:active_vms]):
-        sim.process(producer(vm_id, vm_dev, index))
+    cohomed = 0
+    for shard in range(n_shards):
+        nsm_id, nsm_dev = engine.register_nsm(
+            f"nsm{shard}", queue_sets=1, shard=shard)
+        sim.process(responder(shard, nsm_dev))
+        vms = []
+        for i in range(n_vms):
+            vm_id, vm_dev = engine.register_vm(
+                f"s{shard}.vm{i}", queue_sets=1, shard=shard)
+            if seed_conns:
+                assigned = engine.assign_vm_auto(vm_id)
+                cohomed += assigned == nsm_id
+                # One established connection per VM: VM socket 1 (the
+                # same socket id the producers use, so switching hits
+                # this entry instead of inserting) mapped to a unique
+                # NSM socket id.
+                engine.table.insert((vm_id, 0, 1), assigned, 0)
+                engine.table.complete((vm_id, 0, 1), nsm_socket_id=vm_id)
+            else:
+                engine.assign_vm(vm_id, nsm_id)
+            vms.append((vm_id, vm_dev))
+        for _vm_id, vm_dev in vms:
+            sim.process(drainer(vm_dev))
+        for index, (vm_id, vm_dev) in enumerate(vms[:active_vms]):
+            sim.process(producer(vm_id, vm_dev, index))
     sim.run()
+
+    stats = engine.stats()
+    per_shard = []
+    for shard, core in enumerate(cores):
+        row = stats[f"shard.{shard}"]
+        per_shard.append({"nqes_switched": row["nqes_switched"],
+                          "batches": row["batches"],
+                          "received": received[shard],
+                          "ce_busy_cycles": core.busy_cycles})
     return {
         "sim_now": sim.now,
         "events_processed": sim.events_processed,
         "events_cancelled": sim.events_cancelled,
-        "nqes_switched": engine.nqes_switched,
-        "batches": engine.batches,
-        "received": received[0],
-        "ce_busy_cycles": core.busy_cycles,
+        "nqes_switched": stats["nqes_switched"],
+        "batches": stats["batches"],
+        "received": sum(received),
+        "ce_busy_cycles": sum(core.busy_cycles for core in cores),
+        "handoffs": stats["handoffs_in"],
+        "per_shard": per_shard,
+        "cohomed": cohomed,
     }
+
+
+#: The per-shard fingerprint: every key a shard must reproduce
+#: bit-identically to a standalone 1-shard run of the same partition.
+_SHARD_FP_KEYS = ("nqes_switched", "batches", "received", "ce_busy_cycles")
+
+#: A one-shard mux run's timeline fingerprint.
+_MUX_FP_KEYS = ("sim_now", "events_processed", "events_cancelled"
+                ) + _SHARD_FP_KEYS
 
 
 def bench_nqe_switch(quick: bool) -> dict:
     """CoreEngine switch throughput: bursts of 8 through one hot VM."""
     nqes = 2_000 if quick else 20_000
-    wall, peak, fp = _measure(
+    wall, peak, out = _measure(
         lambda: _mux_workload(n_vms=1, active_vms=1, nqes_per_active=nqes,
                               burst=8, period=5e-6))
+    fp = {key: out[key] for key in _MUX_FP_KEYS}
     return {"wall_s": wall, "events": fp["events_processed"],
             "peak_rss": peak,
             "nqes_switched": fp["nqes_switched"],
@@ -212,8 +246,9 @@ def _bench_fig08(n_vms: int, nqes_quick: int, nqes_full: int):
     def bench(quick: bool) -> dict:
         active = max(1, n_vms // 10)  # 10% duty cycle
         nqes = nqes_quick if quick else nqes_full
-        wall, peak, fp = _measure(
+        wall, peak, out = _measure(
             lambda: _mux_workload(n_vms, active, nqes))
+        fp = {key: out[key] for key in _MUX_FP_KEYS}
         return {"wall_s": wall, "events": fp["events_processed"],
                 "peak_rss": peak, "fingerprint": fp}
 
@@ -221,150 +256,6 @@ def _bench_fig08(n_vms: int, nqes_quick: int, nqes_full: int):
 
 
 # -- sharded CoreEngine multiplexing (fig. 8 at fleet scale) -----------------
-
-
-#: The per-shard fingerprint: every key a shard must reproduce
-#: bit-identically to a standalone 1-shard run of the same partition.
-_SHARD_FP_KEYS = ("nqes_switched", "batches", "received", "ce_busy_cycles")
-
-
-def _sharded_mux_workload(n_shards: int, vms_per_shard: int,
-                          active_per_shard: int, nqes_per_active: int,
-                          burst: int = 1, period: float = 20e-6,
-                          ring_slots: int = 256,
-                          seed_conns: bool = False) -> dict:
-    """The fig. 8 multiplexing workload partitioned over N shards.
-
-    Each shard gets its own NSM plus ``vms_per_shard`` VMs pinned to the
-    same shard and assigned to that NSM — a traffic-closed partition, so
-    no cross-shard handoffs occur and each shard's switching timeline is
-    independent.  Producers stagger by their *within-shard* index,
-    making every shard's workload identical to a standalone 1-shard run
-    of the same size; per-shard counters must therefore be bit-identical
-    to that reference.
-
-    ``seed_conns`` mirrors :func:`_mux_workload`'s flag at cluster
-    scale: every VM is placed with ``assign_vm_auto`` (shard-aware — the
-    result must be the VM's home-shard NSM, counted in ``cohomed``) and
-    seeded with one established connection-table entry.
-    """
-    from repro.core.sharding import ShardedCoreEngine
-
-    sim = Simulator()
-    cores = [Core(sim, name=f"bench.ce{i}", hz=DEFAULT_COST_MODEL.core_hz)
-             for i in range(n_shards)]
-    engine = ShardedCoreEngine(sim, cores, batch_size=8,
-                               ring_slots=ring_slots)
-    received = [0] * n_shards
-
-    def responder(shard_index, nsm_dev):
-        owner = object()
-        qs = nsm_dev.queue_sets[0]
-        job_ring, send_ring = nsm_dev.consume_rings(qs)
-        completion_ring, _ = nsm_dev.produce_rings(qs)
-        backlog = deque()
-        scratch: list = []
-        while True:
-            # Same consume-always/drain-opportunistically discipline as
-            # _mux_workload's responder — the two must stay identical
-            # for the per-shard fingerprint-identity proof to hold.
-            progressed = False
-            if backlog:
-                pushed = False
-                cap = completion_ring.capacity
-                while backlog and len(completion_ring._items) < cap:
-                    completion_ring.try_push(backlog.popleft(), owner=owner)
-                    pushed = True
-                if pushed:
-                    nsm_dev.ring_doorbell()
-                    progressed = True
-            n = (job_ring.drain_into(scratch, 64, owner=owner)
-                 if job_ring._items else 0)
-            if send_ring._items:
-                n += send_ring.drain_into(scratch, 64, owner=owner, start=n)
-            if n:
-                progressed = True
-                for i in range(n):
-                    nqe = scratch[i]
-                    scratch[i] = None
-                    received[shard_index] += 1
-                    backlog.append(nqe.response(NqeOp.OP_RESULT))
-                    NQE_POOL.release(nqe)
-            if not progressed:
-                if backlog:
-                    yield sim.timeout(1e-6)
-                else:
-                    yield nsm_dev.wait_for_inbound()
-
-
-    def drainer(vm_dev):
-        owner = object()
-        qs = vm_dev.queue_sets[0]
-        completion_ring, _ = vm_dev.consume_rings(qs)
-        scratch: list = []
-        while True:
-            n = completion_ring.drain_into(scratch, 64, owner=owner)
-            if not n:
-                yield vm_dev.wait_for_inbound()
-                continue
-            for i in range(n):
-                NQE_POOL.release(scratch[i])
-                scratch[i] = None
-
-    def producer(vm_id, vm_dev, index):
-        owner = object()
-        qs = vm_dev.queue_sets[0]
-        control_ring, _ = vm_dev.produce_rings(qs)
-        yield sim.timeout(1e-6 * (index + 1))  # within-shard stagger
-        for _ in range(nqes_per_active):
-            for _ in range(burst):
-                control_ring.push(
-                    NQE_POOL.acquire(NqeOp.SETSOCKOPT, vm_id, 0, 1,
-                                     created_at=sim.now),
-                    owner=owner)
-            vm_dev.ring_doorbell()
-            yield sim.timeout(period)
-
-    cohomed = 0
-    for shard_index in range(n_shards):
-        nsm_id, nsm_dev = engine.register_nsm(
-            f"nsm{shard_index}", queue_sets=1, shard=shard_index)
-        sim.process(responder(shard_index, nsm_dev))
-        shard_vms = []
-        for i in range(vms_per_shard):
-            vm_id, vm_dev = engine.register_vm(
-                f"s{shard_index}.vm{i}", queue_sets=1, shard=shard_index)
-            if seed_conns:
-                assigned = engine.assign_vm_auto(vm_id)
-                if assigned == nsm_id:
-                    cohomed += 1
-                engine.table.insert((vm_id, 0, 1), assigned, 0)
-                engine.table.complete((vm_id, 0, 1), nsm_socket_id=vm_id)
-            else:
-                engine.assign_vm(vm_id, nsm_id)
-            shard_vms.append((vm_id, vm_dev))
-        for _vm_id, vm_dev in shard_vms:
-            sim.process(drainer(vm_dev))
-        for index, (vm_id, vm_dev) in enumerate(
-                shard_vms[:active_per_shard]):
-            sim.process(producer(vm_id, vm_dev, index))
-    sim.run()
-
-    per_shard = []
-    for shard_index, shard in enumerate(engine.shards):
-        stats = shard.stats()
-        fingerprint = {key: stats[key] for key in _SHARD_FP_KEYS
-                       if key in stats}
-        fingerprint["received"] = received[shard_index]
-        fingerprint["ce_busy_cycles"] = cores[shard_index].busy_cycles
-        per_shard.append(fingerprint)
-    return {
-        "sim_now": sim.now,
-        "events_processed": sim.events_processed,
-        "handoffs": engine.handoffs_in,
-        "per_shard": per_shard,
-        "cohomed": cohomed,
-    }
 
 
 def _bench_fig08_sharded(n_shards: int, vms_per_shard: int,
@@ -375,15 +266,14 @@ def _bench_fig08_sharded(n_shards: int, vms_per_shard: int,
         # 250 active producers per partition need completion headroom a
         # 256-slot ring does not give (the 1000-VM bench has only 100).
         slots = 1024
-        # Reference: a standalone 1-shard CoreEngine running exactly one
-        # partition's workload.
+        # Reference: one partition's workload on a one-core switch.
         wall_ref, peak_ref, ref = _measure(
             lambda: _mux_workload(vms_per_shard, active, nqes,
                                   ring_slots=slots))
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
         wall, peak, out = _measure(
-            lambda: _sharded_mux_workload(n_shards, vms_per_shard,
-                                          active, nqes, ring_slots=slots))
+            lambda: _mux_workload(vms_per_shard, active, nqes,
+                                  ring_slots=slots, n_shards=n_shards))
         match = (all(fp == ref_fp for fp in out["per_shard"])
                  and out["sim_now"] == ref["sim_now"]
                  and out["handoffs"] == 0)
@@ -430,9 +320,9 @@ def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
                                   ring_slots=slots, seed_conns=True))
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
         wall, peak, out = _measure(
-            lambda: _sharded_mux_workload(n_shards, vms_per_shard,
-                                          active, nqes, ring_slots=slots,
-                                          seed_conns=True))
+            lambda: _mux_workload(vms_per_shard, active, nqes,
+                                  ring_slots=slots, seed_conns=True,
+                                  n_shards=n_shards))
         vms_total = n_shards * vms_per_shard
         match = (all(fp == ref_fp for fp in out["per_shard"])
                  and out["sim_now"] == ref["sim_now"]

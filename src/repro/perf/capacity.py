@@ -102,7 +102,7 @@ def _measure_mux(rate: float, seed: int, window: float,
     pool_before = NQE_POOL.outstanding
     sim = Simulator()
     core = Core(sim, name="cap.ce", hz=DEFAULT_COST_MODEL.core_hz)
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=128)
+    engine = CoreEngine(sim, [core], batch_size=8, ring_slots=128)
     governor = engine.enable_overload_control()
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
@@ -211,7 +211,8 @@ def _measure_mux(rate: float, seed: int, window: float,
     sim.run(until=window * 1.5 + 0.005)
 
     ok = sum(ok_per_vm.values())
-    dropped = (engine.nqes_dropped + engine.nqes_dropped_backpressure)
+    stats = engine.stats()
+    dropped = stats["nqes_dropped"] + stats["nqes_dropped_backpressure"]
     resolved = (ok + counters["rejected"] + counters["ring_full"]
                 + counters["eagain"] + dropped)
     goodput = ok / window
@@ -365,6 +366,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     goodput = ok / window
     latencies.sort()
     engine = host.coreengine
+    engine_stats = engine.stats()
     return {
         "rate": rate,
         "offered": counters["offered"],
@@ -374,8 +376,8 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
         "eagain": counters["sheds"],
         "timeouts": counters["timeouts"],
         "errors": counters["errors"],
-        "dropped": (engine.nqes_dropped
-                    + engine.nqes_dropped_backpressure),
+        "dropped": (engine_stats["nqes_dropped"]
+                    + engine_stats["nqes_dropped_backpressure"]),
         "hung_ops": len(clients) - finished[0],
         "goodput": goodput,
         "loss": max(0.0, 1.0 - goodput / rate),

@@ -6,12 +6,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.coreengine import CoreEngine
+from repro.core.coreengine import _SwitchLoop
 from tests.reference_models import ReceiveBufferModel, SendBufferModel
 
 
-@pytest.fixture
-def rewind_counters():
+def rewind() -> None:
     """Rewind the process-wide id counters (socket ids, NQE tokens,
     packet ids, ...) and drain the NQE pool, so a run starts from the
     same state whatever ran before it in this process.  Socket ids feed
@@ -31,15 +30,22 @@ def rewind_counters():
     udp.UdpSocket._ids = itertools.count(1)
 
 
+@pytest.fixture
+def rewind_counters():
+    """:func:`rewind` before the test."""
+    rewind()
+
+
 def full_scan_loop(self):
-    """The scheduler oracle: rescan every registered device on every
-    pass.  CoreEngine's ready-set loop must produce exactly this loop's
-    simulated timeline; it only skips the devices with nothing to do."""
+    """The scheduler oracle: rescan every device homed on the loop on
+    every pass.  CoreEngine's ready-set loop must produce exactly this
+    loop's simulated timeline; it only skips the devices with nothing to
+    do."""
     while self._running:
         self._kicked = False
         self._pass_counter += 1
-        if self._HAS_PRE_PASS:
-            yield from self._pre_pass()
+        if self._inbox:
+            yield from self._drain_inbox()
         progressed = False
         stall = None
         for registry in (self._vms, self._nsms):
@@ -64,7 +70,7 @@ def full_scan(monkeypatch):
     @contextmanager
     def installed():
         with monkeypatch.context() as patch:
-            patch.setattr(CoreEngine, "_run_ready", full_scan_loop)
+            patch.setattr(_SwitchLoop, "_run_ready", full_scan_loop)
             yield
 
     return installed
@@ -85,7 +91,7 @@ def scalar_datapath(monkeypatch):
                           SendBufferModel)
             patch.setattr("repro.stack.tcp.engine.ReceiveBuffer",
                           ReceiveBufferModel)
-            patch.setattr(CoreEngine, "_deliver_fast",
+            patch.setattr(_SwitchLoop, "_deliver_fast",
                           lambda self, ring, nqe, device: False)
             yield
 

@@ -122,3 +122,29 @@ class TestLoadStats:
         assert summary["mean"] == pytest.approx(2.0)
         assert summary["median"] == pytest.approx(2.0)
         assert summary["max"] == pytest.approx(3.0)
+
+
+def test_sockopt_program_sees_the_same_values_on_both_hosts():
+    """One unmodified set/get program reads back the same option values
+    whether its stack runs in the guest or in an NSM."""
+
+    def program(api, out):
+        sock = yield from api.socket()
+        seen = [(yield from api.getsockopt(sock, "SO_SNDBUF"))]
+        yield from api.setsockopt(sock, "SO_SNDBUF", 65536)
+        yield from api.setsockopt(sock, "TCP_NODELAY", 1)
+        yield from api.setsockopt(sock, "TCP_NODELAY", 0)
+        for option in ("SO_SNDBUF", "TCP_NODELAY", "SO_RCVBUF"):
+            seen.append((yield from api.getsockopt(sock, option)))
+        yield from api.close(sock)
+        out["seen"] = seen
+
+    results = []
+    for env_factory in (netkernel_env, baseline_env):
+        sim = Simulator()
+        _, _, client_vm, _, api_c, _ = env_factory(sim)
+        out = {}
+        client_vm.spawn(program(api_c, out))
+        sim.run(until=0.01)
+        results.append(out["seen"])
+    assert results[0] == results[1] == [0, 65536, 0, 0]

@@ -16,6 +16,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.fig_autoscale import run_autoscale_scenario
 from repro.net.fabric import Network
 from repro.sim import Simulator
+from tests.conftest import rewind
+from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 
 class TestPolicy:
@@ -144,10 +146,11 @@ class TestShardAwareSpawn:
         assert all(row["nsms"] == 1
                    for row in report["shard_loads"].values())
 
-    def test_report_has_no_shard_loads_on_single_core_switch(self):
+    def test_single_core_switch_reports_one_shard_row(self):
         sim, host, auto = _autoscaled_host([10.0])
         auto.stop()
-        assert auto.report()["shard_loads"] is None
+        assert auto.report()["shard_loads"] == {
+            0: {"nsms": 1, "vms": 0, "connections": 0}}
 
 
 class TestInvariantHelpers:
@@ -173,16 +176,19 @@ class TestInvariantHelpers:
 
 @pytest.fixture(scope="module")
 def clean_run():
+    rewind()
     return run_autoscale_scenario(seed=0, chaos=False)
 
 
 @pytest.fixture(scope="module")
 def chaos_run():
+    rewind()
     return run_autoscale_scenario(seed=0, chaos=True)
 
 
 class TestScenarioInvariants:
     def test_clean_run_scales_and_serves(self, clean_run):
+        assert timeline_digest(clean_run) == GOLDENS["autoscale.clean"]
         counters = clean_run["autoscaler"]["counters"]
         assert clean_run["workload"]["rtts"] > 100
         assert counters["spawned"] >= 1
@@ -205,6 +211,7 @@ class TestScenarioInvariants:
         """An NSM crash mid-rebalance: failover + reap recover it, and
         the acceptance invariants hold — zero dangling forwards, zero
         inactive assignments at every job boundary, pool balanced."""
+        assert timeline_digest(chaos_run) == GOLDENS["autoscale.chaos"]
         assert chaos_run["violations"] == []
         assert chaos_run["forward_leaks"] == 0
         assert chaos_run["pool_delta"] == 0

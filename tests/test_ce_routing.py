@@ -16,7 +16,7 @@ from repro.sim import Simulator
 @pytest.fixture
 def setup():
     sim = Simulator()
-    engine = CoreEngine(sim, Core(sim), batch_size=4)
+    engine = CoreEngine(sim, [Core(sim)], batch_size=4)
     vm_id, vm_dev = engine.register_vm("vm", queue_sets=1)
     nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=2)
     engine.assign_vm(vm_id, nsm_id)
@@ -65,13 +65,13 @@ class TestVmToNsmRouting:
         for index in range(5):
             push_vm_nqe(vm_dev, Nqe(NqeOp.SOCKET, vm_id, 0, 100 + index))
         sim.run(until=0.01)
-        assert engine.nqes_switched == 5
+        assert engine.stats()["nqes_switched"] == 5
 
     def test_vm_without_nsm_assignment_raises(self):
         from repro.errors import ConfigurationError
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         vm_id, vm_dev = engine.register_vm("lone", queue_sets=1)
         push_vm_nqe(vm_dev, Nqe(NqeOp.SOCKET, vm_id, 0, 1))
         with pytest.raises(ConfigurationError):
@@ -130,7 +130,7 @@ class TestNsmToVmRouting:
         # Fill the VM's receive ring to capacity.
         rx = vm_dev.queue_sets[0].receive
         for index in range(rx.capacity):
-            rx.push(Nqe(NqeOp.DATA_ARRIVED, vm_id, 0, 1), owner=engine)
+            rx.push(Nqe(NqeOp.DATA_ARRIVED, vm_id, 0, 1), owner=engine.shards[0])
         event = Nqe(NqeOp.DATA_ARRIVED, vm_id, 0, 42)
         nsm_dev.queue_sets[0].receive.push(event, owner="servicelib")
         nsm_dev.ring_doorbell()

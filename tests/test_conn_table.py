@@ -169,7 +169,7 @@ class TestLoadBalancedAssignment:
         from repro.sim import Simulator
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         nsm_a, _ = engine.register_nsm("a", queue_sets=1)
         nsm_b, _ = engine.register_nsm("b", queue_sets=1)
         nsm_c, _ = engine.register_nsm("c", queue_sets=1)

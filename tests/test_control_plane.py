@@ -18,7 +18,7 @@ from repro.sim import Simulator
 @pytest.fixture
 def plane():
     sim = Simulator()
-    return ControlPlane(CoreEngine(sim, Core(sim)))
+    return ControlPlane(CoreEngine(sim, [Core(sim)]))
 
 
 class TestWireFormat:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.coreengine import CoreEngine, TokenBucket
+from repro.core.coreengine import CoreEngine, TokenBucket, _SwitchLoop
 from repro.core.host import NetKernelHost
 from repro.core.nqe import Nqe, NqeOp
 from repro.cpu.core import Core
@@ -89,7 +89,7 @@ class TestTokenBucket:
 
 class TestRegistration:
     def test_register_assigns_unique_ids(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         vm_id, vm_dev = engine.register_vm("vm1", queue_sets=1)
         nsm_id, nsm_dev = engine.register_nsm("nsm1", queue_sets=2)
         assert vm_id != nsm_id
@@ -98,7 +98,7 @@ class TestRegistration:
         assert len(nsm_dev.queue_sets) == 2
 
     def test_assign_requires_known_parties(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         vm_id, _ = engine.register_vm("vm1", queue_sets=1)
         with pytest.raises(ConfigurationError):
             engine.assign_vm(vm_id, 999)
@@ -106,7 +106,7 @@ class TestRegistration:
             engine.assign_vm(999, vm_id)
 
     def test_deregister_vm_clears_state(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         vm_id, _ = engine.register_vm("vm1", queue_sets=1)
         nsm_id, _ = engine.register_nsm("nsm1", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -117,13 +117,13 @@ class TestRegistration:
 
     def test_device_setup_cost_charged(self, sim):
         core = Core(sim)
-        engine = CoreEngine(sim, core)
+        engine = CoreEngine(sim, [core])
         engine.register_vm("vm1", queue_sets=1)
         assert core.busy_by_component["ce.device_setup"] > 0
 
     def test_invalid_batch_size(self, sim):
         with pytest.raises(ConfigurationError):
-            CoreEngine(sim, Core(sim), batch_size=0)
+            CoreEngine(sim, [Core(sim)], batch_size=0)
 
 
 def _throughput_host(sim, caps):
@@ -220,14 +220,14 @@ class TestIsolation:
     def test_rate_limit_stall_counter(self, sim):
         host, received = _throughput_host(sim, {"vm1": mbps(10)})
         sim.run(until=1.0)
-        assert host.coreengine.rate_limited_stalls > 0
+        assert host.coreengine.stats()["rate_limited_stalls"] > 0
 
 
 class TestControlOpsAdmission:
     def test_control_ring_ops_are_rate_limited(self, sim):
         # Regression: job-queue (control) NQEs used to be popped before
         # any admission check, bypassing the §4.4 per-VM ops bucket.
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -242,30 +242,34 @@ class TestControlOpsAdmission:
 
         # 100 ops/s over 0.1 s plus the 1-op burst admits ~11 NQEs; the
         # pre-fix engine switches all 50 immediately.
-        assert engine.nqes_switched <= 20
-        assert engine.nqes_switched >= 5
-        assert engine.rate_limited_stalls > 0
+        stats = engine.stats()
+        assert stats["nqes_switched"] <= 20
+        assert stats["nqes_switched"] >= 5
+        assert stats["rate_limited_stalls"] > 0
 
 
-class _SlowScanEngine(CoreEngine):
-    """CoreEngine whose per-device scan has an explicit suspension point,
-    modelling any mid-pass yield (batch cost charging, backpressure...)
-    so the kick-during-scan window can be hit deterministically."""
+_service_device = _SwitchLoop._service_device
 
-    def _service_device(self, reg):
-        yield self.sim.timeout(1e-9)
-        return (yield from super()._service_device(reg))
+
+def _slow_service_device(self, reg):
+    """A per-device scan with an explicit suspension point, modelling
+    any mid-pass yield (batch cost charging, backpressure...) so the
+    kick-during-scan window can be hit deterministically."""
+    yield self.sim.timeout(1e-9)
+    return (yield from _service_device(self, reg))
 
 
 class TestDoorbellRace:
-    def test_kick_mid_scan_is_not_lost(self, sim):
+    def test_kick_mid_scan_is_not_lost(self, sim, monkeypatch):
         # Regression (lost-doorbell wakeup race): a kick() that fires
         # while _run is suspended mid-scan succeeds the old doorbell and
         # installs a fresh one.  If the push landed after its rings were
         # scanned and the pass otherwise made no progress, an engine that
         # sleeps on the *fresh* doorbell sleeps forever — nobody will
         # ring it again.  The fix captures the doorbell before the scan.
-        engine = _SlowScanEngine(sim, Core(sim))
+        monkeypatch.setattr(_SwitchLoop, "_service_device",
+                            _slow_service_device)
+        engine = CoreEngine(sim, [Core(sim)])
         nsm_id, _ = engine.register_nsm("nsm", queue_sets=1)
         vma_id, vma_dev = engine.register_vm("vma", queue_sets=1)
         vmb_id, _ = engine.register_vm("vmb", queue_sets=1)
@@ -284,12 +288,12 @@ class TestDoorbellRace:
         sim.process(producer())
         sim.run(until=0.01)
         assert not vma_dev.produce_pending(), "push never scanned: stalled"
-        assert engine.nqes_switched == 1
+        assert engine.stats()["nqes_switched"] == 1
 
 
 class TestAutoAssignment:
     def test_least_loaded_nsm_chosen(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         nsm_a, _ = engine.register_nsm("a", queue_sets=1)
         nsm_b, _ = engine.register_nsm("b", queue_sets=1)
         # Load NSM a with two live connections.
@@ -301,7 +305,7 @@ class TestAutoAssignment:
         assert engine.vm_to_nsm[vm_id] == nsm_b
 
     def test_requires_an_nsm(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         vm_id, _ = engine.register_vm("vm", queue_sets=1)
         with pytest.raises(ConfigurationError):
             engine.assign_vm_auto(vm_id)

@@ -10,8 +10,9 @@ repeated only to check a digest: the experiments in
 ``test_experiments.py``, the transfer in ``test_determinism.py``, the
 raw-switch runs in ``test_sched_determinism.py`` next to the full-scan
 oracle, chaos ``nsm-crash``/11 in ``test_faults.py``, the quick
-``nqe_switch`` bench in ``test_units_and_cli.py`` and the shed burst in
-``test_overload.py``.  ``fig9`` (duration 0.3) is compared only with its
+``nqe_switch`` bench in ``test_units_and_cli.py``, the shed burst in
+``test_overload.py``, the multi-core runs in ``test_sharding.py`` and the
+fig-autoscale scenarios in ``test_autoscaler.py``.  ``fig9`` (duration 0.3) is compared only with its
 full-scan oracle run in ``test_sched_determinism.py``.  The rest run
 here.
 """
@@ -46,6 +47,13 @@ GOLDENS = {
     "chaos.overload.17": "5824921eda9d1b52",
     # Switch-side overload shed burst (test_overload.py).
     "shed_burst": "63517c09a1419604",
+    # Multi-core switches (test_sharding.py, test_autoscaler.py): the
+    # 3-shard mux partition, the cross-shard echo, and the 2-shard
+    # fig-autoscale clean and chaos runs.
+    "sharded.mux3": "9382933a86a1e2a0",
+    "sharded.echo": "e0fcd89b79dbd3a5",
+    "autoscale.clean": "750e869c72ffa1d2",
+    "autoscale.chaos": "c27626c52da12770",
 }
 
 

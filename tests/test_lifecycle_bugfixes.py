@@ -186,7 +186,7 @@ class TestCloseResultSurvivesQuarantine:
         for nqe in (close_result, shutdown_result, connect_result):
             completion.push(nqe, owner=None)
 
-        failed_fast_before = ce.nqes_failed_fast
+        failed_fast_before = ce.stats()["nqes_failed_fast"]
         ce.quarantine_nsm(nsm.nsm_id, reason="test")
 
         delivered = {
@@ -201,7 +201,7 @@ class TestCloseResultSurvivesQuarantine:
         assert (delivered[NqeOp.CONNECT].op_data
                 == -RESULT_ERRNO["ECONNRESET"])
         # Only the CONNECT result counted as failed-fast.
-        assert ce.nqes_failed_fast == failed_fast_before + 1
+        assert ce.stats()["nqes_failed_fast"] == failed_fast_before + 1
 
         # Drain the crafted NQEs so the process-global pool balances.
         for qs in ce.vm_device(vm.vm_id).queue_sets:

@@ -64,7 +64,7 @@ class TestRingWatermarks:
 
 
 def _raw_engine(sim, n_vms=1, **kw):
-    engine = CoreEngine(sim, Core(sim), batch_size=8, ring_slots=128,
+    engine = CoreEngine(sim, [Core(sim)], batch_size=8, ring_slots=128,
                         **kw)
     governor = engine.enable_overload_control()
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
@@ -210,7 +210,7 @@ class TestSwitchShed:
                     completions[vm_id] += 1
                 NQE_POOL.release(nqe)
         return {
-            "sheds": engine.nqes_shed,
+            "sheds": engine.stats()["nqes_shed"],
             "eagain": eagain,
             "completions": completions,
             "consumed": consumed[0],

@@ -22,17 +22,23 @@ from repro.core.nqe import NQE_POOL, Nqe, NqeOp, NqePool
 from repro.cpu.core import Core
 from repro.errors import SimulationError
 from repro.experiments import run_experiment
-from repro.perf.bench import _mux_workload
+from repro.faults.chaos import SWITCH_COUNTERS
+from repro.perf.bench import _MUX_FP_KEYS, _mux_workload
 from repro.sim import Simulator
 from tests.test_determinism import run_transfer_fingerprint
 from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 
 def _strip_sched(stats):
-    """Scheduler bookkeeping is allowed to differ from the oracle's; the
-    datapath counters are not."""
-    return {key: value for key, value in stats.items()
+    """The switch counters without the scheduler bookkeeping, which is
+    allowed to differ from the oracle's; the datapath counters are not."""
+    return {key: stats[key] for key in SWITCH_COUNTERS
             if not key.startswith("sched.")}
+
+
+def _mux_fingerprint(out):
+    """A one-shard mux run's timeline fingerprint (as the bench pins)."""
+    return {key: out[key] for key in _MUX_FP_KEYS}
 
 
 #: Golden of each experiment run below.  fig8, fig21 and table5 are the
@@ -82,7 +88,7 @@ class TestRawSwitchIdenticalAcrossModes:
             full = _mux_workload(n_vms=40, active_vms=4,
                                  nqes_per_active=50)
         assert ready == full
-        assert timeline_digest(ready) == GOLDENS["mux40"]
+        assert timeline_digest(_mux_fingerprint(ready)) == GOLDENS["mux40"]
 
     def test_rate_limited_fingerprint(self, rewind_counters, full_scan):
         """Stalled devices re-arm every pass, so admission rechecks (and
@@ -97,7 +103,7 @@ class TestRawSwitchIdenticalAcrossModes:
     @staticmethod
     def _rate_limited_run():
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4)
+        engine = CoreEngine(sim, [Core(sim, name="ce")], batch_size=4)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm0", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -109,8 +115,8 @@ class TestRawSwitchIdenticalAcrossModes:
         vm_dev.ring_doorbell()
         sim.run(until=0.5)
         stats = engine.stats()
-        return (sim.now, sim.events_processed, engine.nqes_switched,
-                engine.batches, stats["rate_limited_stalls"],
+        return (sim.now, sim.events_processed, stats["nqes_switched"],
+                stats["batches"], stats["rate_limited_stalls"],
                 _strip_sched(stats))
 
 
@@ -129,7 +135,7 @@ class TestVectorizedIdenticalToScalar:
                 scalar_full = _mux_workload(n_vms=40, active_vms=4,
                                             nqes_per_active=50)
         assert scalar == scalar_full
-        assert timeline_digest(scalar) == GOLDENS["mux40"]
+        assert timeline_digest(_mux_fingerprint(scalar)) == GOLDENS["mux40"]
 
     def test_transfer_fingerprint_matches(self, rewind_counters,
                                           scalar_datapath):
@@ -157,7 +163,7 @@ class TestZeroAllocSwitching:
 
     def test_steady_state_switching_allocates_no_lists(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=8)
+        engine = CoreEngine(sim, [Core(sim, name="ce")], batch_size=8)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=2)
         devices = [nsm_dev]
         for i in range(4):
@@ -197,7 +203,8 @@ class TestZeroAllocSwitching:
             sim.process(drainer(dev))
         sim.run(until=0.05)
 
-        assert engine.nqes_switched == 4 * 16 * 2  # requests + responses
+        # requests + responses
+        assert engine.stats()["nqes_switched"] == 4 * 16 * 2
         allocs = sum(ring.list_allocs
                      for dev in devices for qs in dev.queue_sets
                      for ring in (qs.job, qs.send, qs.completion, qs.receive))
@@ -210,7 +217,7 @@ class TestStaleWakeupFix:
 
     def _build(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4)
+        engine = CoreEngine(sim, [Core(sim, name="ce")], batch_size=4)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
         limited_id, limited_dev = engine.register_vm("vm-limited",
                                                      queue_sets=1)
@@ -240,10 +247,12 @@ class TestStaleWakeupFix:
 
         sim.process(other_producer())
         sim.run(until=0.05)
-        assert engine.rate_limited_stalls > 0
-        assert engine.stale_wakeups > 0
-        assert sim.events_cancelled >= engine.stale_wakeups
-        assert engine.stats()["sched.stale_wakeups"] == engine.stale_wakeups
+        stats = engine.stats()
+        assert stats["rate_limited_stalls"] > 0
+        assert stats["sched.stale_wakeups"] > 0
+        assert sim.events_cancelled >= stats["sched.stale_wakeups"]
+        assert (stats["sched.stale_wakeups"]
+                == engine.shards[0].stale_wakeups)
 
 
 class TestTimeoutCancel:
@@ -306,7 +315,7 @@ class TestNqePool:
 class TestReadySetBehaviour:
     def test_kick_without_device_marks_everything(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"))
+        engine = CoreEngine(sim, [Core(sim, name="ce")])
         nsm_id, _ = engine.register_nsm("nsm0", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm0", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -314,4 +323,4 @@ class TestReadySetBehaviour:
         ring.push(Nqe(NqeOp.SETSOCKOPT, vm_id, 0, 1), owner="guest")
         engine.kick()  # device=None: conservative mark-all
         sim.run(until=0.01)
-        assert engine.nqes_switched == 1
+        assert engine.stats()["nqes_switched"] == 1

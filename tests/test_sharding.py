@@ -1,22 +1,22 @@
-"""Sharded CoreEngine (PR 6 tentpole).
+"""CoreEngine over several switching cores (shards).
 
-Covers the facade (placement, pinning, counter aggregation), cross-shard
-handoff correctness on a real echo workload, and the determinism proofs:
-a traffic-closed partition's per-shard fingerprint is bit-identical to a
-standalone one-shard run, and PR 2's ready-vs-full scan identity holds
-per shard under sharding.
+Covers placement, pinning and counter aggregation, cross-shard handoff
+correctness on a real echo workload, and the determinism proofs: a
+traffic-closed partition's per-shard fingerprint is bit-identical to a
+one-shard run, and the ready-vs-full scan identity holds per shard.
 """
 
 import pytest
 
+from repro.core.control import CeOp, ControlPlane, encode
+from repro.core.coreengine import CoreEngine
 from repro.core.host import NetKernelHost
-from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import ConfigurationError
 from repro.net.fabric import Network
-from repro.perf.bench import _SHARD_FP_KEYS, _mux_workload, \
-    _sharded_mux_workload
+from repro.perf.bench import _SHARD_FP_KEYS, _mux_workload
 from repro.sim import Simulator
+from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 PORT = 7400
 
@@ -24,14 +24,14 @@ PORT = 7400
 def _bare_cluster(n_shards=2):
     sim = Simulator()
     cores = [Core(sim, name=f"ce{i}") for i in range(n_shards)]
-    return sim, ShardedCoreEngine(sim, cores)
+    return sim, CoreEngine(sim, cores)
 
 
 class TestFacade:
     def test_needs_at_least_one_core(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
-            ShardedCoreEngine(sim, [])
+            CoreEngine(sim, [])
 
     def test_round_robin_placement_per_role(self):
         sim, engine = _bare_cluster(n_shards=3)
@@ -51,11 +51,11 @@ class TestFacade:
 
     def test_control_plane_is_shared_across_shards(self):
         sim, engine = _bare_cluster(n_shards=3)
-        first = engine.shards[0]
-        for shard in engine.shards[1:]:
-            assert shard.table is first.table
-            assert shard.vm_to_nsm is first.vm_to_nsm
-            assert shard._ids is first._ids
+        for shard in engine.shards:
+            assert shard.table is engine.table
+            assert shard.vm_to_nsm is engine.vm_to_nsm
+            assert shard._vm_dir is engine._vms
+            assert shard._nsm_dir is engine._nsms
 
     def test_cross_shard_assignment_and_least_loaded(self):
         """assign_vm_auto must see NSMs on every shard, and exclude
@@ -73,12 +73,12 @@ class TestFacade:
         engine.shards[0].nqes_switched = 3
         engine.shards[1].nqes_switched = 4
         engine.shards[0].handoffs_in = 2
-        assert engine.nqes_switched == 7
-        assert engine.handoffs_in == 2
         stats = engine.stats()
         assert stats["shards"] == 2
         assert stats["nqes_switched"] == 7
-        assert "shard.0" in stats and "shard.1" in stats
+        assert stats["handoffs_in"] == 2
+        assert stats["shard.0"]["nqes_switched"] == 3
+        assert stats["shard.1"]["nqes_switched"] == 4
 
 
 class TestShardAwarePlacement:
@@ -119,17 +119,17 @@ class TestShardAwarePlacement:
         assert engine.assign_vm_auto(vm0) == nsm1
 
     def test_auto_assign_distrusts_stale_active_flag(self):
-        """A quarantine recorded on the home shard disqualifies the NSM
-        even while its registration still says active (half-applied
-        quarantine state must not receive new VMs)."""
-        sim, engine = _bare_cluster(n_shards=2)
-        nsm0, _ = engine.register_nsm("nsm0", 1, shard=0)
-        nsm1, _ = engine.register_nsm("nsm1", 1, shard=1)
-        home = engine._nsm_home[nsm0]
-        home.quarantined[nsm0] = "half-applied"
-        assert home._nsms[nsm0].active
-        vm0, _ = engine.register_vm("vm0", 1, shard=0)
-        assert engine.assign_vm_auto(vm0) == nsm1
+        """A recorded quarantine disqualifies the NSM even while its
+        registration still says active (half-applied quarantine state
+        must not receive new VMs), on one core as on two."""
+        for n_shards in (1, 2):
+            sim, engine = _bare_cluster(n_shards=n_shards)
+            nsm0, _ = engine.register_nsm("nsm0", 1, shard=0)
+            nsm1, _ = engine.register_nsm("nsm1", 1, shard=n_shards - 1)
+            engine.quarantined[nsm0] = "half-applied"
+            assert engine._nsms[nsm0].active
+            vm0, _ = engine.register_vm("vm0", 1, shard=0)
+            assert engine.assign_vm_auto(vm0) == nsm1
 
     def test_auto_assign_without_candidates_raises(self):
         sim, engine = _bare_cluster()
@@ -158,14 +158,15 @@ class TestDirectoryConsistency:
             engine.shard_of_vm(vm_id)
 
     def test_shard_side_deregister_keeps_directory_in_step(self):
-        """A guest DEREGISTER lands on the home shard's engine, not the
-        facade; the facade directory must still be cleaned."""
+        """A guest DEREGISTER through the control plane must clean both
+        the device directory and the home shard's own registry."""
         sim, engine = _bare_cluster()
         vm_id, _ = engine.register_vm("vm", 1, shard=1)
-        engine.shards[1].deregister(vm_id)
+        ControlPlane(engine).handle(encode(CeOp.DEREGISTER, 0, vm_id))
         with pytest.raises(ConfigurationError):
             engine.shard_of_vm(vm_id)
-        assert vm_id not in engine._vm_home
+        assert vm_id not in engine._vms
+        assert vm_id not in engine.shards[1]._vms
 
 
 class TestShardLoads:
@@ -200,7 +201,7 @@ class TestShardLoads:
 
 
 class TestCrossShardHandoff:
-    def test_echo_rtts_across_shards(self):
+    def test_echo_rtts_across_shards(self, rewind_counters):
         """Client VM homed on shard 1, its serving NSM on shard 0: every
         request and response crosses the shard boundary via the handoff
         inbox, and the echo still completes byte-exact."""
@@ -241,13 +242,18 @@ class TestCrossShardHandoff:
         assert done["reply"] == b"across-shards"
         # The client VM's NQEs were switched on shard 1 and delivered to
         # the NSM homed on shard 0 (and vice versa for responses).
-        assert engine.handoffs_in > 0
-        assert engine.handoffs_in == engine.handoffs_out
+        stats = engine.stats()
+        assert stats["handoffs_in"] > 0
+        assert stats["handoffs_in"] == stats["handoffs_out"]
         assert len(engine.table) == 0
+        timeline = {"now": sim.now, "events": sim.events_processed,
+                    "handoffs": stats["handoffs_in"],
+                    "nqes_switched": stats["nqes_switched"]}
+        assert timeline_digest(timeline) == GOLDENS["sharded.echo"]
 
     def test_traffic_closed_partition_has_no_handoffs(self):
-        out = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
-                                    active_per_shard=2, nqes_per_active=6)
+        out = _mux_workload(n_vms=20, active_vms=2, nqes_per_active=6,
+                            n_shards=2)
         assert out["handoffs"] == 0
 
 
@@ -259,29 +265,32 @@ class TestShardDeterminism:
         ref = _mux_workload(n_vms=40, active_vms=4,
                             nqes_per_active=8)
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
-        out = _sharded_mux_workload(n_shards=3, vms_per_shard=40,
-                                    active_per_shard=4, nqes_per_active=8)
+        out = _mux_workload(n_vms=40, active_vms=4, nqes_per_active=8,
+                            n_shards=3)
         assert out["handoffs"] == 0
         assert len(out["per_shard"]) == 3
         for fingerprint in out["per_shard"]:
             assert fingerprint == ref_fp
         assert out["sim_now"] == ref["sim_now"]
+        assert timeline_digest(
+            {key: out[key] for key in ("sim_now", "events_processed",
+                                       "handoffs", "per_shard", "cohomed")}
+        ) == GOLDENS["sharded.mux3"]
 
     def test_ready_vs_full_scan_identity_holds_per_shard(self, full_scan):
         """The scheduler proof survives sharding: the ready-set loop and
         the full-scan oracle produce bit-identical per-shard timelines."""
-        ready = _sharded_mux_workload(n_shards=2, vms_per_shard=30,
-                                      active_per_shard=3, nqes_per_active=6)
+        ready = _mux_workload(n_vms=30, active_vms=3, nqes_per_active=6,
+                              n_shards=2)
         with full_scan():
-            full = _sharded_mux_workload(n_shards=2, vms_per_shard=30,
-                                         active_per_shard=3,
-                                         nqes_per_active=6)
+            full = _mux_workload(n_vms=30, active_vms=3, nqes_per_active=6,
+                                 n_shards=2)
         assert ready["per_shard"] == full["per_shard"]
         assert ready["sim_now"] == full["sim_now"]
 
     def test_seeded_replay_is_bit_identical(self):
-        first = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
-                                      active_per_shard=2, nqes_per_active=5)
-        second = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
-                                       active_per_shard=2, nqes_per_active=5)
+        first = _mux_workload(n_vms=20, active_vms=2, nqes_per_active=5,
+                              n_shards=2)
+        second = _mux_workload(n_vms=20, active_vms=2, nqes_per_active=5,
+                               n_shards=2)
         assert first == second

@@ -119,7 +119,7 @@ class TestDeregisteredVmDrop:
         from repro.mem.hugepages import HugepageRegion
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         region = HugepageRegion(name="vm.hp")
         nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=1)
         vm_id, _ = engine.register_vm("vm", queue_sets=1, hugepages=region)
@@ -138,7 +138,7 @@ class TestDeregisteredVmDrop:
         nsm_dev.ring_doorbell()
         sim.run(until=0.01)
 
-        assert engine.nqes_dropped == 1
+        assert engine.stats()["shard.0"]["nqes_dropped"] == 1
         assert engine.stats()["nqes_dropped"] == 1
         assert buffer.freed
         assert region.live_buffers == 0
@@ -150,7 +150,7 @@ class TestDeregisteredVmDrop:
         from repro.cpu.core import Core
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = CoreEngine(sim, [Core(sim)])
         nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=1)
         vm_id, _ = engine.register_vm("vm", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -162,4 +162,4 @@ class TestDeregisteredVmDrop:
         nsm_dev.ring_doorbell()
         sim.run(until=0.01)
 
-        assert engine.nqes_dropped == 1
+        assert engine.stats()["nqes_dropped"] == 1
