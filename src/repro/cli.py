@@ -29,6 +29,10 @@ chaos
 migrate
     Run the seeded live-migration workload; ``--verify`` fails unless
     bit-identical, leak-free, and zero-reset (migration-smoke CI).
+capacity
+    Run the seeded NDR/PDR capacity search; ``--verify`` fails unless
+    bit-identical, leak-free, and graceful at 2x NDR (capacity-smoke CI).
+    chaos, migrate and capacity share one replay loop (``_replay``).
 autoscale
     Run the NSM autoscaling workload on a sharded CoreEngine; fails on
     any leaked forward, pool imbalance, or VM-on-inactive-NSM
@@ -256,6 +260,23 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
     return _finish(env, as_json)
 
 
+def _replay(env: Envelope, spec: JobSpec, verify: bool,
+            fingerprint_key: str) -> list:
+    """Run ``spec`` once, or twice with ``verify``; record every leak of
+    every run and, when the runs' ``fingerprint_key`` values differ, a
+    divergence.  Returns the results (the first is ``env.data``'s)."""
+    results = [execute_job(spec)["result"] for _ in range(2 if verify else 1)]
+    env.data = {"result": results[0], "verify": verify}
+    for index, run in enumerate(results):
+        for leak in run["leaks"]:
+            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
+    if len({run[fingerprint_key] for run in results}) != 1:
+        env.fail("divergence",
+                 f"TIMELINE DIVERGENCE: the same {spec.kind} spec "
+                 "produced 2 distinct fingerprints")
+    return results
+
+
 def _cmd_chaos(seed: int, plan: str, duration: float,
                detection_timeout: float, heartbeat_interval: float,
                as_json: bool, verify: bool) -> int:
@@ -264,10 +285,7 @@ def _cmd_chaos(seed: int, plan: str, duration: float,
         "seed": seed, "plan_name": plan, "duration": duration,
         "detection_timeout": detection_timeout,
         "heartbeat_interval": heartbeat_interval}, seed=seed)
-    runs = 2 if verify else 1
-    results = [execute_job(spec)["result"] for _ in range(runs)]
-    result = results[0]
-    env.data = {"result": result, "verify": verify}
+    result = _replay(env, spec, verify, "switch_fingerprint")[0]
     if not as_json:
         counters = result["counters"]
         recovery = result["recovery_sec"]
@@ -282,16 +300,7 @@ def _cmd_chaos(seed: int, plan: str, duration: float,
               f"recovery="
               f"{'n/a' if recovery is None else f'{recovery * 1e3:.2f}ms'}")
         print(f"  fingerprint={result['switch_fingerprint'][:16]}…")
-    for index, run in enumerate(results):
-        for leak in run["leaks"]:
-            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
-    if verify:
-        fingerprints = {run["switch_fingerprint"] for run in results}
-        if len(fingerprints) != 1:
-            env.fail("divergence",
-                     "TIMELINE DIVERGENCE: same seed+plan produced "
-                     f"{len(fingerprints)} distinct fingerprints")
-        elif env.ok and not as_json:
+        if verify and env.ok:
             print("verify OK: 2 runs bit-identical, no leaks")
     return _finish(env, as_json)
 
@@ -305,10 +314,15 @@ def _cmd_capacity(scenario: str, seed: int, window: Optional[float],
     if window is not None:
         params["window"] = window
     spec = JobSpec("capacity", params=params, seed=seed)
-    runs = 2 if verify else 1
-    results = [execute_job(spec)["result"] for _ in range(runs)]
-    result = results[0]
-    env.data = {"result": result, "verify": verify}
+    result = _replay(env, spec, verify, "fingerprint")[0]
+    graceful = result["graceful"]
+    if graceful is not None and not graceful["pass"]:
+        env.fail("degradation",
+                 "GRACELESS DEGRADATION at 2xNDR: "
+                 f"goodput ratio {graceful['goodput_ratio']} "
+                 f"(need >= 0.8), jain {graceful['jain_fairness']} "
+                 f"(need >= 0.9), hung ops {graceful['hung_ops']} "
+                 "(need 0)")
     if not as_json:
         print(f"scenario={scenario} seed={seed} "
               f"window={result['window']}s n_vms={n_vms} "
@@ -324,7 +338,6 @@ def _cmd_capacity(scenario: str, seed: int, window: Optional[float],
                       f"loss {point['loss']:.4f}, "
                       f"p50 {point['p50_us']:g}us, "
                       f"p99 {point['p99_us']:g}us)")
-        graceful = result["graceful"]
         if graceful is not None:
             verdict = "pass" if graceful["pass"] else "FAIL"
             print(f"  2xNDR: goodput ratio "
@@ -332,24 +345,7 @@ def _cmd_capacity(scenario: str, seed: int, window: Optional[float],
                   f"{graceful['jain_fairness']:g}, hung "
                   f"{graceful['hung_ops']} -> {verdict}")
         print(f"  fingerprint={result['fingerprint'][:16]}…")
-    for index, run in enumerate(results):
-        for leak in run["leaks"]:
-            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
-    graceful = result["graceful"]
-    if graceful is not None and not graceful["pass"]:
-        env.fail("degradation",
-                 "GRACELESS DEGRADATION at 2xNDR: "
-                 f"goodput ratio {graceful['goodput_ratio']} "
-                 f"(need >= 0.8), jain {graceful['jain_fairness']} "
-                 f"(need >= 0.9), hung ops {graceful['hung_ops']} "
-                 "(need 0)")
-    if verify:
-        fingerprints = {run["fingerprint"] for run in results}
-        if len(fingerprints) != 1:
-            env.fail("divergence",
-                     "SEARCH DIVERGENCE: same seed+scenario produced "
-                     f"{len(fingerprints)} distinct fingerprints")
-        elif env.ok and not as_json:
+        if verify and env.ok:
             print("verify OK: 2 searches bit-identical, no leaks")
     return _finish(env, as_json)
 
@@ -360,11 +356,21 @@ def _cmd_migrate(seed: int, streams: int, duration: float,
     spec = JobSpec("migrate", params={
         "seed": seed, "streams": streams, "duration": duration},
         seed=seed)
-    runs = 2 if verify else 1
-    results = [execute_job(spec)["result"] for _ in range(runs)]
-    result = results[0]
-    env.data = {"result": result, "verify": verify}
+    results = _replay(env, spec, verify, "switch_fingerprint")
+    for index, run in enumerate(results):
+        counters = run["counters"]
+        if run["migration"] is None:
+            env.fail("failure", f"MIGRATION FAILED (run {index + 1}): "
+                                f"{run['migration_error']}")
+        if counters["resets"] or counters["timeouts"] \
+                or counters["mismatches"]:
+            env.fail("disruption",
+                     f"GUEST-VISIBLE DISRUPTION (run {index + 1}): "
+                     f"resets={counters['resets']} "
+                     f"timeouts={counters['timeouts']} "
+                     f"mismatches={counters['mismatches']}")
     if not as_json:
+        result = results[0]
         counters = result["counters"]
         record = result["migration"]
         print(f"seed={seed} streams={streams} duration={duration}s")
@@ -381,27 +387,7 @@ def _cmd_migrate(seed: int, streams: int, duration: float,
         else:
             print(f"  migration FAILED: {result['migration_error']}")
         print(f"  fingerprint={result['switch_fingerprint'][:16]}…")
-    for index, run in enumerate(results):
-        for leak in run["leaks"]:
-            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
-        counters = run["counters"]
-        if run["migration"] is None:
-            env.fail("failure", f"MIGRATION FAILED (run {index + 1}): "
-                                f"{run['migration_error']}")
-        if counters["resets"] or counters["timeouts"] \
-                or counters["mismatches"]:
-            env.fail("disruption",
-                     f"GUEST-VISIBLE DISRUPTION (run {index + 1}): "
-                     f"resets={counters['resets']} "
-                     f"timeouts={counters['timeouts']} "
-                     f"mismatches={counters['mismatches']}")
-    if verify:
-        fingerprints = {run["switch_fingerprint"] for run in results}
-        if len(fingerprints) != 1:
-            env.fail("divergence",
-                     "TIMELINE DIVERGENCE: same seed+streams produced "
-                     f"{len(fingerprints)} distinct fingerprints")
-        elif env.ok and not as_json:
+        if verify and env.ok:
             print("verify OK: 2 runs bit-identical, zero-reset, no leaks")
     return _finish(env, as_json)
 

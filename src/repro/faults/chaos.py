@@ -1,81 +1,42 @@
 """The shared chaos workload: echo traffic under an armed fault plan.
 
-``run_chaos`` builds a small canonical topology — a client VM served by
-``nsm-a`` (the fault target), a standby ``nsm-b``, and an echo server VM
-on ``nsm-srv`` — arms a :class:`~repro.faults.plan.FaultPlan`, and drives
-paced request/response traffic through the failure.  The client survives
-every plan by construction: per-op deadlines (GuestLib ``op_timeout``)
-bound each blocking call, ECONNRESET from CoreEngine's quarantine path
-fails the connection fast, and the loop reconnects until traffic stops.
+``run_chaos`` adds a client VM on ``nsm-a`` (the fault target) to the
+harness's echo host (:func:`~repro.faults.harness.echo_host`, with
+``nsm-b`` as the standby), arms a :class:`~repro.faults.plan.FaultPlan`,
+and drives paced request/response traffic through the failure.  The
+client survives every plan by construction: per-op deadlines (GuestLib
+``op_timeout``) bound each blocking call, ECONNRESET from CoreEngine's
+quarantine path fails the connection fast, and the loop reconnects
+until traffic stops.
 
-The result carries a ``switch_fingerprint``: a SHA-256 over the
-simulated timeline's counters (sim clock/event counts, CoreEngine switch
-stats, application counters).  Process-global allocator state (NQE pool
-hits, token values, socket-id counters) is deliberately excluded — it
-differs between two runs in one process without affecting the timeline —
-so the same (seed, plan) replays to the same fingerprint, which
+The result carries a ``switch_fingerprint``: the harness's
+:func:`~repro.faults.harness.timeline_fingerprint` over the host
+timeline plus the client counters, per-VM drops, governor and fault
+stats.  The same (seed, plan) replays to the same fingerprint, which
 ``repro chaos --verify`` and the CI chaos-smoke job assert.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Optional
 
-from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL
 from repro.errors import SocketError, TimedOutError, TryAgainError
+from repro.faults.harness import (ECHO_PORT, echo_host, host_timeline,
+                                  resource_leaks, scrap,
+                                  timeline_fingerprint)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, named_plan
-from repro.net.fabric import Network
 from repro.sim.engine import Simulator
 
-#: Echo service port and request payload size.
-ECHO_PORT = 7000
+#: Request payload size.
 REQUEST_BYTES = 256
 #: Gap between client requests (keeps the run cheap but steady).
 REQUEST_PACING = 0.5e-3
-
-
-#: The CoreEngine counters a switch fingerprint covers: the key set of a
-#: one-core ``stats()``.  Naming them keeps the fingerprint fixed when
-#: ``stats()`` gains keys (the per-shard rows, handoff counts).
-SWITCH_COUNTERS = (
-    "nqes_switched", "batches", "avg_batch", "connections",
-    "rate_limited_stalls", "nqes_dropped", "nqes_dropped_backpressure",
-    "nqes_failed_fast", "nqes_shed", "heartbeats_sent", "heartbeat_acks",
-    "nsms_quarantined", "vms_failed_over", "conns_reset_on_failover",
-    "vms_migrated", "conns_migrated", "migration_parked_ops",
-    "sched.passes", "sched.stale_wakeups",
-)
-
-
-def switch_fingerprint(payload: dict) -> str:
-    """SHA-256 over a JSON-canonicalized counter dict."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _echo_server(api, vm):
-    """Accept loop + per-connection echo children."""
-
-    def echo(conn):
-        try:
-            while True:
-                data = yield from api.recv(conn, 64 * 1024)
-                if not data:
-                    break
-                yield from api.send(conn, data)
-        except SocketError:
-            pass
-
-    listener = yield from api.socket()
-    yield from api.bind(listener, ECHO_PORT)
-    yield from api.listen(listener, backlog=128)
-    while True:
-        conn = yield from api.accept(listener)
-        vm.spawn(echo(conn))
+#: The GuestLib counters a chaos timeline covers, per VM.
+GUESTLIB_COUNTERS = ("nqes_sent", "nqes_received", "op_timeouts",
+                     "op_retries", "admission_waits", "ops_shed",
+                     "send_results_shed")
 
 
 def _chaos_client(sim, api, counters, stop, fault_onset: float):
@@ -107,30 +68,16 @@ def _chaos_client(sim, api, counters, stop, fault_onset: float):
             yield sim.timeout(2e-3)
         except TimedOutError:
             counters["timeouts"] += 1
-            sock = yield from _scrap(api, sock)
+            sock = yield from scrap(api, sock)
             yield sim.timeout(2e-3)
         except SocketError as error:
             if error.errno_name == "ECONNRESET":
                 counters["resets"] += 1
             else:
                 counters["other_errors"] += 1
-            sock = yield from _scrap(api, sock)
+            sock = yield from scrap(api, sock)
             yield sim.timeout(2e-3)
-    if sock is not None:
-        try:
-            yield from api.close(sock)
-        except SocketError:
-            pass
-
-
-def _scrap(api, sock):
-    """Best-effort close of a failed socket; always returns None."""
-    if sock is not None:
-        try:
-            yield from api.close(sock)
-        except SocketError:
-            pass
-    return None
+    yield from scrap(api, sock)
 
 
 def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
@@ -158,12 +105,7 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     pool_outstanding_before = NQE_POOL.outstanding
 
     sim = Simulator()
-    network = Network(sim)
-    host = NetKernelHost(sim, network)
-    host.add_nsm("nsm-a", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-b", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-srv", vcpus=1, stack="kernel")
-    server_vm = host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
+    host, _ = echo_host(sim)
     client_vm = host.add_vm("client", vcpus=1, nsm=host.nsms["nsm-a"],
                             op_timeout=op_timeout, max_op_retries=3)
     host.enable_failover(heartbeat_interval=heartbeat_interval,
@@ -186,11 +128,8 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     }
     stop = {"flag": False}
 
-    server_api = host.socket_api(server_vm)
-    client_api = host.socket_api(client_vm)
-    server_vm.spawn(_echo_server(server_api, server_vm))
-    client_vm.spawn(_chaos_client(sim, client_api, counters, stop,
-                                  fault_onset))
+    client_vm.spawn(_chaos_client(sim, host.socket_api(client_vm),
+                                  counters, stop, fault_onset))
 
     def stop_traffic():
         stop["flag"] = True
@@ -207,50 +146,17 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     sim.run(until=duration)
 
     ce = host.coreengine
-    ce_stats = ce.stats()
-    timeline = {
-        "sim": {
-            "now": round(sim.now, 9),
-            "events_processed": sim.events_processed,
-            "events_cancelled": sim.events_cancelled,
-        },
-        "ce": {key: ce_stats[key] for key in SWITCH_COUNTERS},
+    timeline = host_timeline(sim, host, GUESTLIB_COUNTERS)
+    timeline.update({
         "client": dict(counters, recovered_at=(
             round(counters["recovered_at"], 9)
             if counters["recovered_at"] is not None else None)),
-        "nsms": {
-            name: nsm.servicelib.stats()
-            for name, nsm in sorted(host.nsms.items())
-        },
-        "guestlib": {
-            name: {
-                "nqes_sent": vm.guestlib.nqes_sent,
-                "nqes_received": vm.guestlib.nqes_received,
-                "op_timeouts": vm.guestlib.op_timeouts,
-                "op_retries": vm.guestlib.op_retries,
-                "admission_waits": vm.guestlib.admission_waits,
-                "ops_shed": vm.guestlib.ops_shed,
-                "send_results_shed": vm.guestlib.send_results_shed,
-            }
-            for name, vm in sorted(host.vms.items())
-        },
         "per_vm_drops": {str(vm_id): drops for vm_id, drops
                          in ce.per_vm_drops().items()},
         "overload": (ce.overload.stats()
                      if ce.overload is not None else None),
         "faults": injector.stats(),
-    }
-
-    leaks = []
-    for name, vm in sorted(host.vms.items()):
-        region = ce.vm_device(vm.vm_id).hugepages
-        if region.live_buffers or region.allocated:
-            leaks.append(
-                f"{name}: {region.live_buffers} live hugepage buffer(s), "
-                f"{region.allocated} B still allocated")
-    pool_delta = NQE_POOL.outstanding - pool_outstanding_before
-    if pool_delta != 0:
-        leaks.append(f"NQE pool outstanding delta {pool_delta:+d}")
+    })
 
     recovery = None
     if counters["recovered_at"] is not None and fault_onset is not None:
@@ -267,8 +173,8 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
         "fault_onset": fault_onset,
         "recovery_sec": recovery,
         "quarantined": dict(ce.quarantined),
-        "ce": ce_stats,
+        "ce": ce.stats(),
         "faults": injector.stats(),
-        "leaks": leaks,
-        "switch_fingerprint": switch_fingerprint(timeline),
+        "leaks": resource_leaks(host, pool_outstanding_before),
+        "switch_fingerprint": timeline_fingerprint(timeline),
     }

@@ -1,8 +1,8 @@
 """The shared live-migration workload: echo streams across a migration.
 
-``run_migration`` builds the same canonical topology as ``run_chaos`` —
-a client VM served by ``nsm-a``, a target ``nsm-b``, and an echo server
-VM on ``nsm-srv`` — opens ``streams`` concurrent echo connections, then
+``run_migration`` adds a client VM on ``nsm-a`` to the harness's echo
+host (:func:`~repro.faults.harness.echo_host`, the one ``run_chaos``
+uses), opens ``streams`` concurrent echo connections, then
 live-migrates the client VM from nsm-a to nsm-b mid-traffic via
 :meth:`NetKernelHost.migrate_vm`.  The migration must be invisible to
 the guest: every stream keeps its connection (zero ECONNRESET, zero
@@ -15,8 +15,9 @@ migration with injected faults (the satellite-4 property tests); with a
 plan armed the client gets per-op deadlines and failover is enabled, so
 resource balance still holds even when the migration itself aborts.
 
-The result carries the same deterministic ``switch_fingerprint`` scheme
-as ``run_chaos`` — same (seed, streams, plan) replays bit-identically —
+The result carries a ``switch_fingerprint`` over the harness's host
+timeline, like ``run_chaos`` — same (seed, streams, plan) replays
+bit-identically —
 which ``repro migrate --verify`` and the CI migration-smoke job assert.
 """
 
@@ -24,20 +25,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL
 from repro.errors import ConfigurationError, SocketError, TimedOutError
-from repro.faults.chaos import (ECHO_PORT, SWITCH_COUNTERS, _echo_server,
-                                switch_fingerprint)
+from repro.faults.harness import (ECHO_PORT, echo_host, host_timeline,
+                                  resource_leaks, timeline_fingerprint)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, named_plan
-from repro.net.fabric import Network
 from repro.sim.engine import Simulator
 
 #: Gap between successive echo rounds on one stream.
 STREAM_PACING = 0.5e-3
 #: Stagger between stream start times (avoids a thundering connect herd).
 STREAM_STAGGER = 50e-6
+#: The GuestLib counters a migration timeline covers, per VM.
+GUESTLIB_COUNTERS = ("nqes_sent", "nqes_received", "op_timeouts",
+                     "op_retries")
 
 
 def _stream(sim, api, index: int, seed: int, payload_bytes: int,
@@ -112,12 +114,7 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
         op_timeout = 20e-3
 
     sim = Simulator()
-    network = Network(sim)
-    host = NetKernelHost(sim, network)
-    host.add_nsm("nsm-a", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-b", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-srv", vcpus=1, stack="kernel")
-    server_vm = host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
+    host, _ = echo_host(sim)
     client_vm = host.add_vm("client", vcpus=1, nsm=host.nsms["nsm-a"],
                             op_timeout=op_timeout,
                             max_op_retries=3 if op_timeout else 0)
@@ -142,9 +139,7 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
     stop = {"flag": False}
     migration = {"record": None, "error": None}
 
-    server_api = host.socket_api(server_vm)
     client_api = host.socket_api(client_vm)
-    server_vm.spawn(_echo_server(server_api, server_vm))
     for index in range(streams):
         client_vm.spawn(_stream(sim, client_api, index, seed, payload_bytes,
                                 pacing, counters, stop))
@@ -170,51 +165,22 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
     sim.run(until=duration)
 
     ce = host.coreengine
-    ce_stats = ce.stats()
+    faults = injector.stats() if injector is not None else None
     record = migration["record"]
     record_public = None
     if record is not None:
         record_public = {k: v for k, v in record.items() if k != "tcbs"}
         record_public["tcb_states"] = sorted(
             tcb["state"] for tcb in record["tcbs"])
-    timeline = {
-        "sim": {
-            "now": round(sim.now, 9),
-            "events_processed": sim.events_processed,
-            "events_cancelled": sim.events_cancelled,
-        },
-        "ce": {key: ce_stats[key] for key in SWITCH_COUNTERS},
+    timeline = host_timeline(sim, host, GUESTLIB_COUNTERS)
+    timeline.update({
         "client": dict(counters),
-        "nsms": {
-            name: nsm.servicelib.stats()
-            for name, nsm in sorted(host.nsms.items())
-        },
-        "guestlib": {
-            name: {
-                "nqes_sent": vm.guestlib.nqes_sent,
-                "nqes_received": vm.guestlib.nqes_received,
-                "op_timeouts": vm.guestlib.op_timeouts,
-                "op_retries": vm.guestlib.op_retries,
-            }
-            for name, vm in sorted(host.vms.items())
-        },
         "migration": {
             "record": record_public,
             "error": migration["error"],
         },
-        "faults": injector.stats() if injector is not None else None,
-    }
-
-    leaks = []
-    for name, vm in sorted(host.vms.items()):
-        region = ce.vm_device(vm.vm_id).hugepages
-        if region.live_buffers or region.allocated:
-            leaks.append(
-                f"{name}: {region.live_buffers} live hugepage buffer(s), "
-                f"{region.allocated} B still allocated")
-    pool_delta = NQE_POOL.outstanding - pool_outstanding_before
-    if pool_delta != 0:
-        leaks.append(f"NQE pool outstanding delta {pool_delta:+d}")
+        "faults": faults,
+    })
 
     return {
         "seed": seed,
@@ -227,11 +193,11 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
         "counters": counters,
         "migration": record_public,
         "migration_error": migration["error"],
-        "ce": ce_stats,
-        "faults": injector.stats() if injector is not None else None,
+        "ce": ce.stats(),
+        "faults": faults,
         "table_size": len(ce.table),
         "client_table_entries": len(ce.table.entries_for_vm(
             client_vm.vm_id)),
-        "leaks": leaks,
-        "switch_fingerprint": switch_fingerprint(timeline),
+        "leaks": resource_leaks(host, pool_outstanding_before),
+        "switch_fingerprint": timeline_fingerprint(timeline),
     }

@@ -23,7 +23,8 @@ Scenarios:
   to an echoing NSM consumer.  Producers honour the governor's
   ``admit()`` gate exactly as GuestLib does.
 * ``rps`` — full GuestLib→CE→ServiceLib→stack echo round trips,
-  ``n_vms`` client VMs paced against a shared server.
+  ``n_vms`` client VMs paced against the echo server of the replay
+  harness's host (:func:`repro.faults.harness.echo_host`).
 * ``failover`` — the ``rps`` workload with the serving NSM crashed
   mid-window and failover armed: capacity *through* a failure.
 
@@ -48,7 +49,10 @@ from repro.cpu.core import Core
 from repro.cpu.cost_model import DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError, SocketError, TimedOutError, \
     TryAgainError
-from repro.faults.chaos import switch_fingerprint
+from repro.faults.harness import (ECHO_PORT, echo_host, scrap,
+                                  timeline_fingerprint)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sim.engine import Simulator
 
 #: scenario -> (default rate_lo, default rate_hi, default window sec).
@@ -69,7 +73,6 @@ _MUX_SERVICE_SEC = 2e-6
 
 #: Echo payload for the rps/failover scenarios.
 _ECHO_BYTES = 64
-_ECHO_PORT = 7100
 
 
 def jain_fairness(values) -> float:
@@ -250,20 +253,10 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     With ``crash`` the serving NSM dies mid-window and the clients ride
     the failover onto the standby.
     """
-    from repro.core.host import NetKernelHost
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
-    from repro.net.fabric import Network
-
     pool_before = NQE_POOL.outstanding
     sim = Simulator()
-    network = Network(sim)
-    host = NetKernelHost(sim, network)
-    host.add_nsm("nsm-a", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-b", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-srv", vcpus=1, stack="kernel")
+    host, _ = echo_host(sim)
     host.coreengine.enable_overload_control()
-    server_vm = host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
     clients = []
     for i in range(n_vms):
         clients.append(host.add_vm(
@@ -280,26 +273,6 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     ok_per_vm: Dict[int, int] = {vm.vm_id: 0 for vm in clients}
     latencies: List[float] = []
     finished = [0]
-
-    server_api = host.socket_api(server_vm)
-
-    def echo_server():
-        def echo(conn):
-            try:
-                while True:
-                    data = yield from server_api.recv(conn, 64 * 1024)
-                    if not data:
-                        break
-                    yield from server_api.send(conn, data)
-            except SocketError:
-                pass
-
-        listener = yield from server_api.socket()
-        yield from server_api.bind(listener, _ECHO_PORT)
-        yield from server_api.listen(listener, backlog=128)
-        while True:
-            conn = yield from server_api.accept(listener)
-            server_vm.spawn(echo(conn))
 
     interval = n_vms / rate
 
@@ -318,7 +291,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
             try:
                 if sock is None:
                     sock = yield from api.socket()
-                    yield from api.connect(sock, ("nsm-srv", _ECHO_PORT))
+                    yield from api.connect(sock, ("nsm-srv", ECHO_PORT))
                 yield from api.send(sock, bytes(_ECHO_BYTES))
                 got = 0
                 while got < _ECHO_BYTES:
@@ -332,26 +305,13 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
                 counters["sheds"] += 1
             except TimedOutError:
                 counters["timeouts"] += 1
-                sock = yield from _scrap(api, sock)
+                sock = yield from scrap(api, sock)
             except SocketError:
                 counters["errors"] += 1
-                sock = yield from _scrap(api, sock)
-        if sock is not None:
-            try:
-                yield from api.close(sock)
-            except SocketError:
-                pass
+                sock = yield from scrap(api, sock)
+        yield from scrap(api, sock)
         finished[0] += 1
 
-    def _scrap(api, sock):
-        if sock is not None:
-            try:
-                yield from api.close(sock)
-            except SocketError:
-                pass
-        return None
-
-    server_vm.spawn(echo_server())
     for index, vm in enumerate(clients):
         vm.spawn(client_worker(vm, host.socket_api(vm), index))
     # Generous drain: a worker blocked at t_end resolves through its
@@ -510,6 +470,6 @@ def run_capacity(scenario: str = "mux", seed: int = 0,
         "leaks": [f"step rate={s['rate']:g}: pool delta "
                   f"{s['pool_delta']:+d}"
                   for s in steps if s["pool_delta"] != 0],
-        "fingerprint": switch_fingerprint(fp_steps),
+        "fingerprint": timeline_fingerprint(fp_steps),
     }
     return result

@@ -17,6 +17,7 @@ from repro.faults.migration import run_migration
 from repro.faults.plan import PLAN_NAMES
 from repro.net.fabric import Network
 from repro.sim import Simulator
+from tests.test_golden_timelines import GOLDENS, timeline_digest
 
 #: Plans mild enough that every stream must ride through the overlapped
 #: migration without a single guest-visible reset.  nsm-crash and
@@ -60,9 +61,11 @@ class TestMigrationWorkload:
         record = result["migration"]
         assert record["tcb_states"] == ["established"] * 3
 
-    def test_seeded_replay_is_bit_identical(self):
+    def test_seeded_replay_is_bit_identical(self, rewind_counters):
         first = run_migration(seed=7, streams=12, duration=0.1)
         second = run_migration(seed=7, streams=12, duration=0.1)
+        assert (timeline_digest(first["switch_fingerprint"])
+                == GOLDENS["migrate.7"])
         assert (first["switch_fingerprint"]
                 == second["switch_fingerprint"])
         assert first["leaks"] == [] and second["leaks"] == []

@@ -22,7 +22,7 @@ from repro.core.nqe import NQE_POOL, Nqe, NqeOp, NqePool
 from repro.cpu.core import Core
 from repro.errors import SimulationError
 from repro.experiments import run_experiment
-from repro.faults.chaos import SWITCH_COUNTERS
+from repro.faults.harness import SWITCH_COUNTERS
 from repro.perf.bench import _MUX_FP_KEYS, _mux_workload
 from repro.sim import Simulator
 from tests.test_determinism import run_transfer_fingerprint

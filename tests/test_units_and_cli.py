@@ -121,3 +121,45 @@ class TestCli:
         assert "wall_full_s" not in result and "wall_scalar_s" not in result
         assert (timeline_digest(result["fingerprint"])
                 == GOLDENS["bench.nqe_switch"])
+
+
+#: Small replays of the three ``--verify`` commands, and the result key
+#: each one compares across runs.
+_REPLAYS = {
+    "chaos": (["chaos", "--seed", "3", "--duration", "0.05"],
+              "switch_fingerprint"),
+    "migrate": (["migrate", "--seed", "3", "--streams", "2",
+                 "--duration", "0.08"], "switch_fingerprint"),
+    "capacity": (["capacity", "--scenario", "mux", "--window", "0.004",
+                  "--iterations", "1"], "fingerprint"),
+}
+
+
+@pytest.mark.parametrize("outcome", ["divergence", "leak"])
+@pytest.mark.parametrize("command", sorted(_REPLAYS))
+def test_verify_fails_on_a_diverging_or_leaking_second_run(
+        command, outcome, monkeypatch, capsys):
+    """``--verify`` exits with the divergence code when the two runs'
+    fingerprints differ, and with the leak code when run 2 leaks."""
+    import repro.cli
+    from repro.ctrl.executor import execute_job
+
+    argv, key = _REPLAYS[command]
+    runs = []
+
+    def second_run_differs(spec):
+        if not runs:
+            runs.append(execute_job(spec))
+            return runs[0]
+        first = runs[0]["result"]
+        if outcome == "divergence":
+            second = dict(first, **{key: "0" * 64})
+        else:
+            second = dict(first, leaks=["NQE pool outstanding delta +1"])
+        return dict(runs[0], result=second)
+
+    monkeypatch.setattr(repro.cli, "execute_job", second_run_differs)
+    assert cli_main(argv) == 0
+    runs.clear()
+    assert cli_main(argv + ["--verify"]) == errors.EXIT_CODES[outcome]
+    assert "verify OK" not in capsys.readouterr().out
