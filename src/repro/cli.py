@@ -139,7 +139,7 @@ def _stats_workload(transfer_bytes: int):
     network = Network(sim, default_rate_bps=gbps(100),
                       default_delay_sec=usec(25))
     host = NetKernelHost(sim, network)
-    obs = host.enable_observability(sample_interval=100e-6)
+    obs = host.enable_observability()
 
     nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
     vm_server = host.add_vm("vm-server", vcpus=1, nsm=nsm)

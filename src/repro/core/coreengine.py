@@ -77,10 +77,14 @@ class TokenBucket:
         self.tokens = self.burst
         self._last = sim.now
 
+    def level(self) -> float:
+        """The token level right now, computed without storing it."""
+        return min(self.burst,
+                   self.tokens + (self.sim.now - self._last) * self.rate)
+
     def _refill(self) -> None:
-        now = self.sim.now
-        self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
-        self._last = now
+        self.tokens = self.level()
+        self._last = self.sim.now
 
     def try_consume(self, amount: float) -> bool:
         self._refill()
@@ -526,8 +530,6 @@ class CoreEngine:
                     self.vm_to_nsm[vm_id] = standby
                     moved.append(vm_id)
             loop.vms_failed_over += len(moved)
-        if loop.obs is not None:
-            loop.obs.on_nsm_quarantined(nsm_id, reason, len(moved))
         for vm_id in moved:
             for listener in self.failover_listeners:
                 listener(vm_id, nsm_id, standby)
@@ -635,10 +637,6 @@ class CoreEngine:
         loop.conns_migrated += len(exports)
         loop.migration_parked_ops += parked_ops
         self.migrations.append(record)
-        if loop.obs is not None:
-            loop.obs.on_migration(vm_id, source_nsm_id, target_nsm_id,
-                                  record["blackout_sec"], len(exports),
-                                  parked_ops)
         return record
 
     def _await_nsm_quiescent(self, source_reg: _Registration, source_lib,
@@ -775,18 +773,27 @@ class CoreEngine:
         return dict(sorted(out.items()))
 
     def isolation_state(self) -> dict:
-        """Per-VM token-bucket fill levels (bw in bits, ops in NQEs)."""
+        """Per-VM token-bucket fill levels (bw in bits, ops in NQEs).
+        A read: no bucket is refilled, so reading never moves admission."""
         state: Dict[int, dict] = {}
         for kind, limits in (("bw", self._bw_limits),
                              ("ops", self._op_limits)):
             for vm_id, bucket in limits.items():
-                bucket._refill()
                 state.setdefault(vm_id, {})[kind] = {
                     "rate": bucket.rate,
                     "burst": bucket.burst,
-                    "tokens": bucket.tokens,
+                    "tokens": bucket.level(),
                 }
         return state
+
+    def overload_stats(self) -> Optional[Dict[str, dict]]:
+        """Each core's governor counters keyed by shard index, or None
+        when overload control is off."""
+        governors = self.overload_governors()
+        if not governors:
+            return None
+        return {str(governor.engine.index): governor.stats()
+                for governor in governors}
 
 
 class _SwitchLoop:

@@ -253,6 +253,18 @@ class GuestLib:
         # Observability (repro.obs); None = tracing disabled (default).
         self.obs = None
 
+    def stats(self) -> dict:
+        """This guest's lifetime NQE, deadline and admission counters."""
+        return {
+            "nqes_sent": self.nqes_sent,
+            "nqes_received": self.nqes_received,
+            "op_timeouts": self.op_timeouts,
+            "op_retries": self.op_retries,
+            "admission_waits": self.admission_waits,
+            "ops_shed": self.ops_shed,
+            "send_results_shed": self.send_results_shed,
+        }
+
     def add_vcpu_lane(self, core) -> int:
         """Hot-add a vCPU lane: a core, a queue set, and its poller
         (§4.4's dynamic queue scaling).  Returns the new lane index."""
@@ -321,8 +333,6 @@ class GuestLib:
                 return
         self.admission_waits += 1
         self.ops_shed += 1
-        if self.obs is not None:
-            self.obs.on_op_shed(op)
         raise TryAgainError(f"{op.name} rejected by overload admission "
                             f"control after {self.max_op_retries} backoffs")
 
@@ -379,15 +389,11 @@ class GuestLib:
             # releases the (possibly still coming) response.
             self._pending.pop(token, None)
             self.op_timeouts += 1
-            if self.obs is not None:
-                self.obs.on_op_timeout(op)
             if attempt + 1 >= attempts:
                 raise TimedOutError(
                     f"{op.name} got no response within "
                     f"{attempts} attempt(s)")
             self.op_retries += 1
-            if self.obs is not None:
-                self.obs.on_op_retry(op)
         yield core.execute(self.cost.guestlib_nqe_complete, "guestlib.complete")
         result = OpResult(response.op_data, response.aux)
         NQE_POOL.release(response)

@@ -62,18 +62,15 @@ class NetKernelHost:
         #: NSM autoscaler (repro.core.autoscaler); None until enabled.
         self.autoscaler = None
 
-    def enable_observability(self, sample_interval: Optional[float] = None):
+    def enable_observability(self):
         """Switch on the repro.obs datapath tracing/metrics layer.
 
-        Idempotent; components added later are instrumented too.  With
-        ``sample_interval`` set, ring/hugepage/token-bucket gauges are
-        sampled periodically (they are always sampled at report time).
+        Idempotent; components added later are instrumented too.
         """
         if self.obs is None:
             from repro.obs import Observability
 
-            Observability(self.sim).attach_host(
-                self, sample_interval=sample_interval)
+            Observability(self.sim).attach_host(self)
         return self.obs
 
     # -- NSMs -------------------------------------------------------------------

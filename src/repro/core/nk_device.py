@@ -176,7 +176,7 @@ class NKDevice:
         return filled
 
     def ring_depths(self) -> dict:
-        """Current and peak occupancy per ring, for obs samplers."""
+        """Current and peak occupancy per ring, for the obs report."""
         depths = {}
         for qs in self.queue_sets:
             for ring_name in ("job", "send", "completion", "receive"):

@@ -75,11 +75,6 @@ class Core:
         start = self._free_at if self._free_at > self.sim.now else self.sim.now
         self._free_at = start + cycles / self.hz
 
-    @property
-    def busy_until(self) -> float:
-        """Simulated time at which currently queued work completes."""
-        return self._free_at
-
     def utilization(self, window: Optional[float] = None) -> float:
         """Fraction of cycles spent busy since t=0 (or over ``window``)."""
         elapsed = window if window is not None else self.sim.now

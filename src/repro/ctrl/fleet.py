@@ -17,8 +17,9 @@ from typing import Any, Dict, Optional
 
 
 def fleet_snapshot(host) -> Dict[str, Any]:
-    """NSM health/quarantine, per-VM assignment, shard layout, and obs
-    counters for one :class:`~repro.core.host.NetKernelHost`."""
+    """NSM health/quarantine, per-VM assignment, shard layout, the
+    switch's ``stats()`` and each core's overload governor (keyed by
+    shard index) for one :class:`~repro.core.host.NetKernelHost`."""
     engine = host.coreengine
     quarantined = dict(engine.quarantined)
     nsms = []
@@ -63,8 +64,7 @@ def fleet_snapshot(host) -> Dict[str, Any]:
         "quarantined": {str(k): v for k, v in sorted(quarantined.items())},
         "shards": shards,
         "counters": engine.stats(),
-        "overload": (engine.overload.stats()
-                     if engine.overload is not None else None),
+        "overload": engine.overload_stats(),
     }
 
 

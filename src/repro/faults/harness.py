@@ -100,6 +100,8 @@ def host_timeline(sim, host, guestlib_keys: Iterable[str]) -> dict:
     replay's timeline; ``guestlib_keys`` names the per-VM GuestLib
     counters to include."""
     ce_stats = host.coreengine.stats()
+    guestlibs = {name: vm.guestlib.stats()
+                 for name, vm in sorted(host.vms.items())}
     return {
         "sim": {
             "now": round(sim.now, 9),
@@ -109,10 +111,8 @@ def host_timeline(sim, host, guestlib_keys: Iterable[str]) -> dict:
         "ce": {key: ce_stats[key] for key in SWITCH_COUNTERS},
         "nsms": {name: nsm.servicelib.stats()
                  for name, nsm in sorted(host.nsms.items())},
-        "guestlib": {
-            name: {key: getattr(vm.guestlib, key) for key in guestlib_keys}
-            for name, vm in sorted(host.vms.items())
-        },
+        "guestlib": {name: {key: stats[key] for key in guestlib_keys}
+                     for name, stats in guestlibs.items()},
     }
 
 

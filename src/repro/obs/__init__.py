@@ -1,8 +1,7 @@
 """repro.obs: the datapath observability layer.
 
-One :class:`Observability` instance owns a :class:`MetricsRegistry`, an
-:class:`NqeTracer`, a :class:`CpuAccountant`, and (optionally) a periodic
-:class:`PeriodicSampler`.  Components hold an ``obs`` attribute that is
+One :class:`Observability` instance owns a :class:`MetricsRegistry` and an
+:class:`NqeTracer`.  Components hold an ``obs`` attribute that is
 ``None`` by default; every hook site is guarded by ``if obs is not None``
 so a run without observability pays nothing beyond that attribute check.
 
@@ -10,52 +9,63 @@ Enable it on a host before (or after — late components are wired too)
 building VMs and NSMs::
 
     host = NetKernelHost(sim, network)
-    obs = host.enable_observability(sample_interval=1e-3)
+    obs = host.enable_observability()
     ...
     sim.run(until=1.0)
     report = obs.report()     # stages, ops, rings, buckets, cycles
 
-Hooks never yield, never charge cycles, and never create simulation
-events (the sampler is a separate process reading state), so the
-simulated timeline of the workload is identical with observability on or
-off — asserted by tests/test_obs.py.
+The registry holds only what no component keeps itself: the per-hop and
+per-op latency histograms and the tracer's two counters.  Everything else
+in :meth:`Observability.report` is read, at report time, from the
+component that owns it (``CoreEngine.stats()``, ``GuestLib.stats()``,
+``NKDevice.ring_depths()``, ``HugepageRegion.watermarks()``, the cores'
+cycle ledgers, the autoscaler's counters).  Hooks never yield, never
+charge cycles, and never create simulation events, and reading a report
+mutates nothing, so the simulated timeline of the workload is identical
+with observability on or off — asserted by tests/test_obs.py.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterable
 
-from repro.cpu.accounting import CpuAccountant
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+from repro.obs.metrics import (Counter, Histogram, MetricsRegistry,
                                geometric_bounds)
-from repro.obs.samplers import PeriodicSampler, sample_host
 from repro.obs.trace import HOP_STAGES, NqeTracer
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NqeTracer",
-    "Observability", "PeriodicSampler", "geometric_bounds", "HOP_STAGES",
+    "Counter", "Histogram", "MetricsRegistry", "NqeTracer",
+    "Observability", "geometric_bounds", "HOP_STAGES",
 ]
 
-#: Which cycle ledger (group, component) backs each latency stage in the
+#: Which cycle ledger (role, component) backs each latency stage in the
 #: combined report.  ce.switch serves both directions of the switch.
 STAGE_CYCLE_SOURCES = {
     "guest_to_ce": ("vms", "guestlib.prep"),
-    "ce_to_nsm": ("ce", "ce.switch"),
+    "ce_to_nsm": ("coreengine", "ce.switch"),
     "nsm_service": ("nsms", "servicelib.dispatch"),
-    "nsm_to_ce": ("ce", "ce.switch"),
+    "nsm_to_ce": ("coreengine", "ce.switch"),
     "ce_to_guest": ("vms", "guestlib.dispatch"),
 }
 
 
+def _cycles_by_component(cores: Iterable) -> Dict[str, float]:
+    """Busy cycles per labelled component, summed over ``cores``."""
+    merged: Dict[str, float] = {}
+    for core in cores:
+        for component, cycles in core.busy_by_component.items():
+            merged[component] = merged.get(component, 0.0) + cycles
+    return merged
+
+
 class Observability:
-    """Facade wiring tracer + metrics + samplers into a NetKernelHost."""
+    """Facade wiring the NQE tracer into a NetKernelHost and rendering
+    the combined report from the host's own counters."""
 
     def __init__(self, sim):
         self.sim = sim
         self.registry = MetricsRegistry()
         self.tracer = NqeTracer(sim, self.registry)
-        self.accountant = CpuAccountant()
-        self.sampler: Optional[PeriodicSampler] = None
         self._host = None
 
     # -- component hooks (hot path; must stay cheap and side-effect free) --
@@ -75,93 +85,41 @@ class Observability:
     def on_guest_deliver(self, nqe) -> None:
         self.tracer.guest_deliver(nqe)
 
-    # -- failure/recovery hooks (§8) --------------------------------------
-
-    def on_nsm_quarantined(self, nsm_id: int, reason: str,
-                           vms_moved: int) -> None:
-        self.registry.counter("failover.quarantines").inc()
-        self.registry.counter("failover.vms_moved").inc(vms_moved)
-
-    def on_migration(self, vm_id: int, source_nsm: int, target_nsm: int,
-                     blackout_sec: float, sockets_moved: int,
-                     parked_ops: int) -> None:
-        """A live migration completed: record its blackout and volume."""
-        self.registry.counter("migration.completed").inc()
-        self.registry.counter("migration.sockets_moved").inc(sockets_moved)
-        self.registry.counter("migration.parked_ops").inc(parked_ops)
-        self.registry.histogram("migration.blackout_sec").record(blackout_sec)
-
-    def on_autoscale(self, action: str, detail: str = "") -> None:
-        """An autoscaler job completed (spawn / retire / migrate)."""
-        self.registry.counter(f"autoscale.{action}").inc()
-
-    def on_op_timeout(self, op) -> None:
-        self.registry.counter("guestlib.op_timeouts",
-                              op=getattr(op, "name", str(op))).inc()
-
-    def on_op_retry(self, op) -> None:
-        self.registry.counter("guestlib.op_retries",
-                              op=getattr(op, "name", str(op))).inc()
-
-    # -- overload hooks ----------------------------------------------------
-
-    def on_overload_level(self, engine, old_level: int, new_level: int,
-                          occupancy: float, latency_ewma: float) -> None:
-        """A governor changed pressure level (reads only; no events)."""
-        self.registry.counter("overload.level_transitions").inc()
-        self.registry.gauge("overload.level").set(new_level)
-        self.registry.gauge("overload.occupancy").set(occupancy)
-        self.registry.gauge("overload.latency_ewma").set(latency_ewma)
-
-    def on_op_shed(self, op) -> None:
-        """A guest op failed fast with EAGAIN (admission control)."""
-        self.registry.counter("guestlib.op_sheds",
-                              op=getattr(op, "name", str(op))).inc()
-
     # -- wiring ------------------------------------------------------------
 
-    def attach_host(self, host,
-                    sample_interval: Optional[float] = None) -> "Observability":
+    def attach_host(self, host) -> "Observability":
         """Install hooks on a host's CoreEngine and all current (and
         future — see NetKernelHost.add_vm/add_nsm) VMs and NSMs."""
         self._host = host
         host.obs = self
         host.coreengine.obs = self
-        self.accountant.register("ce", host.ce_cores)
         for vm in host.vms.values():
             self.attach_vm(vm)
         for nsm in host.nsms.values():
             self.attach_nsm(nsm)
-        if sample_interval is not None:
-            self.sampler = PeriodicSampler(self.sim, sample_interval,
-                                           self.sample_now)
         return self
 
     def attach_vm(self, vm) -> None:
         vm.guestlib.obs = self
-        self.accountant.register("vms", vm.cores)
 
     def attach_nsm(self, nsm) -> None:
         nsm.servicelib.obs = self
-        self.accountant.register("nsms", nsm.cores)
-
-    def sample_now(self) -> None:
-        """Snapshot rings/hugepages/token-buckets into gauges right now."""
-        if self._host is not None:
-            sample_host(self.registry, self._host)
 
     # -- reporting ---------------------------------------------------------
 
     def report(self) -> dict:
         """The combined per-stage latency + cycles report (JSON-ready)."""
-        self.sample_now()
+        host = self._host
         component_cycles = {
-            group: self.accountant.by_component(group)
-            for group in self.accountant.groups()
+            "coreengine": _cycles_by_component(host.ce_cores),
+            "nsms": _cycles_by_component(
+                core for nsm in host.nsms.values() for core in nsm.cores),
+            "vms": _cycles_by_component(
+                core for vm in host.vms.values() for core in vm.cores),
         }
         stages = []
         for snap in self.tracer.hop_snapshot():
-            group, component = STAGE_CYCLE_SOURCES[snap["stage"]]
+            role, component = STAGE_CYCLE_SOURCES[snap["stage"]]
             stages.append({
                 "stage": snap["stage"],
                 "count": snap["count"],
@@ -170,7 +128,7 @@ class Observability:
                 "p99_us": snap["p99"] * 1e6,
                 "max_us": snap["max"] * 1e6,
                 "mean_us": snap["mean"] * 1e6,
-                "cycles": component_cycles.get(group, {}).get(component, 0.0),
+                "cycles": component_cycles[role].get(component, 0.0),
             })
         ops = []
         for prefix in ("nqe.e2e.", "nqe.oneway.", "nqe.event."):
@@ -186,67 +144,78 @@ class Observability:
                     "p99_us": snap["p99"] * 1e6,
                     "max_us": snap["max"] * 1e6,
                 })
+        devices = [(name, vm.guestlib.device)
+                   for name, vm in host.vms.items()]
+        devices += [(name, nsm.servicelib.device)
+                    for name, nsm in host.nsms.items()]
         rings = {}
-        for gauge in self.registry.gauges_named("ring."):
-            owner = gauge.labels["owner"]
-            ring = gauge.labels["ring"]
-            field = gauge.name.split(".", 1)[1]
-            rings.setdefault(f"{owner}.{ring}", {})[field] = gauge.value
+        for name, device in devices:
+            for ring_id, depths in device.ring_depths().items():
+                rings[f"{name}.{ring_id}"] = {"depth": depths["depth"],
+                                              "peak_depth": depths["peak"]}
         hugepages = {}
-        for gauge in self.registry.gauges_named("hugepages."):
-            region = gauge.labels["region"]
-            field = gauge.name.split(".", 1)[1]
-            hugepages.setdefault(region, {})[field] = gauge.value
-        token_buckets = (self._host.coreengine.isolation_state()
-                         if self._host is not None else {})
+        for vm in host.vms.values():
+            region = vm.guestlib.device.hugepages
+            marks = region.watermarks()
+            hugepages[region.name] = {
+                key: marks[key] for key in ("allocated", "free",
+                                            "peak_allocated", "live_buffers")}
+        engine = host.coreengine
+        engine_stats = engine.stats()
         report = {
             "stages": stages,
             "ops": ops,
-            "rings": rings,
-            "hugepages": hugepages,
-            "token_buckets": {str(vm): state
-                              for vm, state in token_buckets.items()},
+            "rings": dict(sorted(rings.items())),
+            "hugepages": dict(sorted(hugepages.items())),
+            "token_buckets": {str(vm): state for vm, state
+                              in engine.isolation_state().items()},
             "cycles": component_cycles,
             "counters": {m.name: m.value
                          for m in (self.tracer.traced,
                                    self.tracer.dropped_records)},
         }
-        failover = {}
-        for prefix in ("failover.", "guestlib.op_"):
-            for counter in self.registry.counters_named(prefix):
-                key = counter.name
-                op = counter.labels.get("op")
-                if op:
-                    key = f"{key}.{op}"
-                failover[key] = failover.get(key, 0) + counter.value
-        if failover:
+        guestlibs = [vm.guestlib.stats() for vm in host.vms.values()]
+        failover = {
+            "failover.quarantines": engine_stats["nsms_quarantined"],
+            "failover.vms_moved": engine_stats["vms_failed_over"],
+        }
+        for key, field in (("guestlib.op_timeouts", "op_timeouts"),
+                           ("guestlib.op_retries", "op_retries"),
+                           ("guestlib.op_sheds", "ops_shed")):
+            failover[key] = sum(stats[field] for stats in guestlibs)
+        if any(failover.values()):
             report["failover"] = failover
-        migration = {}
-        for counter in self.registry.counters_named("migration."):
-            migration[counter.name] = counter.value
-        for hist in self.registry.histograms_named("migration."):
-            snap = hist.snapshot()
-            migration[hist.name] = {
-                "count": snap["count"],
-                "p50": snap["p50"],
-                "p99": snap["p99"],
-                "max": snap["max"],
-                "mean": snap["mean"],
+        if engine.migrations:
+            blackout = Histogram("migration.blackout_sec", {})
+            for record in engine.migrations:
+                blackout.record(record["blackout_sec"])
+            snap = blackout.snapshot()
+            report["migration"] = {
+                "migration.completed": engine_stats["vms_migrated"],
+                "migration.sockets_moved": engine_stats["conns_migrated"],
+                "migration.parked_ops": engine_stats["migration_parked_ops"],
+                "migration.blackout_sec": {
+                    key: snap[key]
+                    for key in ("count", "p50", "p99", "max", "mean")},
             }
-        if migration:
-            report["migration"] = migration
-        autoscale = {}
-        for counter in self.registry.counters_named("autoscale."):
-            autoscale[counter.name] = counter.value
-        if autoscale:
-            report["autoscale"] = autoscale
-        if self._host is not None:
-            engine = self._host.coreengine
-            report["coreengine"] = engine.stats()
-            drops = engine.per_vm_drops()
-            if drops:
-                report["per_vm_drops"] = {str(vm): d
-                                          for vm, d in drops.items()}
-            if engine.overload is not None:
-                report["overload"] = engine.overload.stats()
+        autoscaler = host.autoscaler
+        if autoscaler is not None:
+            counters = autoscaler.counters
+            autoscale = {
+                "autoscale.spawn": counters["spawned"],
+                "autoscale.retire": counters["retired"],
+                "autoscale.migrate": counters["migrations"],
+                "autoscale.reap": sum(1 for entry in autoscaler.events
+                                      if entry["action"] == "reap"),
+            }
+            autoscale = {key: n for key, n in autoscale.items() if n}
+            if autoscale:
+                report["autoscale"] = autoscale
+        report["coreengine"] = engine_stats
+        drops = engine.per_vm_drops()
+        if drops:
+            report["per_vm_drops"] = {str(vm): d for vm, d in drops.items()}
+        overload = engine.overload_stats()
+        if overload is not None:
+            report["overload"] = overload
         return report

@@ -1,4 +1,4 @@
-"""Simulation-aware metric primitives: counters, gauges, histograms.
+"""Simulation-aware metric primitives: counters and histograms.
 
 Everything here is plain bookkeeping on simulated quantities — recording a
 value never touches the event loop, charges no cycles, and therefore never
@@ -50,30 +50,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def snapshot(self) -> dict:
-        return {"name": self.name, "labels": dict(self.labels),
-                "value": self.value}
-
-
-class Gauge:
-    """A point-in-time level (ring depth, tokens, bytes allocated...)."""
-
-    __slots__ = ("name", "labels", "value", "updated_at")
-
-    def __init__(self, name: str, labels: Dict[str, object]):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self.updated_at: Optional[float] = None
-
-    def set(self, value: float, now: Optional[float] = None) -> None:
-        self.value = value
-        self.updated_at = now
-
-    def snapshot(self) -> dict:
-        return {"name": self.name, "labels": dict(self.labels),
-                "value": self.value, "updated_at": self.updated_at}
-
 
 class Histogram:
     """Fixed-bucket histogram with percentile estimation."""
@@ -105,18 +81,6 @@ class Histogram:
             self.overflow += 1
         else:
             self.counts[index] += 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical bounds into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        self.overflow += other.overflow
-        self.min_value = min(self.min_value, other.min_value)
-        self.max_value = max(self.max_value, other.max_value)
 
     def percentile(self, p: float) -> float:
         """The upper edge of the bucket holding the p-th percentile
@@ -158,7 +122,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelItems], Histogram] = {}
 
     def counter(self, name: str, **labels) -> Counter:
@@ -166,13 +129,6 @@ class MetricsRegistry:
         metric = self._counters.get(key)
         if metric is None:
             metric = self._counters[key] = Counter(name, labels)
-        return metric
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge(name, labels)
         return metric
 
     def histogram(self, name: str, bounds: Optional[List[float]] = None,
@@ -188,26 +144,3 @@ class MetricsRegistry:
         for (name, _), metric in sorted(self._histograms.items()):
             if name.startswith(prefix):
                 yield metric
-
-    def counters_named(self, prefix: str) -> Iterator[Counter]:
-        """All counters whose name starts with ``prefix``."""
-        for (name, _), metric in sorted(self._counters.items()):
-            if name.startswith(prefix):
-                yield metric
-
-    def gauges_named(self, prefix: str) -> Iterator[Gauge]:
-        """All gauges whose name starts with ``prefix``."""
-        for (name, _), metric in sorted(self._gauges.items()):
-            if name.startswith(prefix):
-                yield metric
-
-    def snapshot(self) -> dict:
-        """Everything, as plain JSON-serializable dicts."""
-        return {
-            "counters": [m.snapshot()
-                         for _, m in sorted(self._counters.items())],
-            "gauges": [m.snapshot()
-                       for _, m in sorted(self._gauges.items())],
-            "histograms": [m.snapshot()
-                           for _, m in sorted(self._histograms.items())],
-        }

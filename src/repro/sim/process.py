@@ -42,10 +42,6 @@ class Process(Event):
         start.callbacks.append(self._resume)
         start.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its wait point."""
         if self.triggered:

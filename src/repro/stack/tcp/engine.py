@@ -130,10 +130,6 @@ class TcpConnection:
     def send_window(self) -> int:
         return min(self.cc.window_bytes, self.rwnd)
 
-    @property
-    def data_start_seq(self) -> int:
-        return self.iss + 1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TcpConnection #{self.conn_id} {self.state.value} "
                 f"{self.local_addr}->{self.remote}>")

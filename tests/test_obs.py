@@ -1,6 +1,7 @@
 """The repro.obs observability layer: metric primitives, NQE lifecycle
-tracing through a real workload, samplers, the zero-cost-when-disabled
-guarantee, and the ``repro stats`` CLI surface."""
+tracing through a real workload, the report as a view over each
+component's own counters, the zero-cost-when-disabled guarantee, and the
+``repro stats`` CLI surface."""
 
 import json
 
@@ -8,8 +9,9 @@ import pytest
 
 from repro.core.host import NetKernelHost
 from repro.net.fabric import Network
-from repro.obs import HOP_STAGES, MetricsRegistry, PeriodicSampler, \
-    geometric_bounds
+from repro.ctrl.fleet import fleet_snapshot
+from repro.errors import TimedOutError
+from repro.obs import HOP_STAGES, MetricsRegistry, geometric_bounds
 from repro.obs.metrics import Histogram
 from repro.sim import Simulator
 from repro.units import gbps, mbps, usec
@@ -45,18 +47,6 @@ class TestHistogram:
         assert hist.count == 1
         assert hist.percentile(0.5) == 50.0  # falls back to true max
 
-    def test_merge(self):
-        bounds = geometric_bounds(1e-6, 1.0, 16)
-        a = Histogram("h", {}, bounds=bounds)
-        b = Histogram("h", {}, bounds=bounds)
-        a.record(1e-3)
-        b.record(1e-2)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max_value == 1e-2
-        with pytest.raises(ValueError):
-            a.merge(Histogram("h", {}, bounds=geometric_bounds(1e-6, 1.0, 8)))
-
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             geometric_bounds(0.0, 1.0, 8)
@@ -69,49 +59,32 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         assert reg.counter("c", vm=1) is reg.counter("c", vm=1)
         assert reg.counter("c", vm=1) is not reg.counter("c", vm=2)
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h", vm=1) is reg.histogram("h", vm=1)
 
     def test_named_iteration_and_snapshot(self):
         reg = MetricsRegistry()
         reg.histogram("nqe.e2e.CONNECT", vm=1).record(1e-4)
         reg.histogram("nqe.hop.guest_to_ce").record(2e-5)
-        reg.gauge("ring.depth", owner="vm").set(3, now=0.5)
         assert [h.name for h in reg.histograms_named("nqe.e2e.")] \
             == ["nqe.e2e.CONNECT"]
-        assert [g.name for g in reg.gauges_named("ring.")] == ["ring.depth"]
-        snap = reg.snapshot()
-        assert len(snap["histograms"]) == 2
-        assert snap["gauges"][0]["value"] == 3
-        json.dumps(snap)  # fully serializable
-
-
-# ---------------------------------------------------------------- sampler --
-
-class TestPeriodicSampler:
-    def test_samples_at_interval(self):
-        sim = Simulator()
-        ticks = []
-        sampler = PeriodicSampler(sim, 1e-3, lambda: ticks.append(sim.now))
-        sim.run(until=0.0105)
-        assert sampler.samples == 11  # t=0, 1ms, ..., 10ms
-        assert ticks[1] == pytest.approx(1e-3)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            PeriodicSampler(Simulator(), 0.0, lambda: None)
+        snaps = [h.snapshot() for h in reg.histograms_named("nqe.")]
+        assert [snap["count"] for snap in snaps] == [1, 1]
+        assert snaps[0]["labels"] == {"vm": 1}
+        json.dumps(snaps)  # fully serializable
 
 
 # ------------------------------------------------------------- end-to-end --
 
-def _run_workload(enable_obs: bool, transfer_bytes: int = 1 << 16):
-    """The quickstart topology; returns (host, obs, done-dict)."""
+def _run_workload(enable_obs: bool, transfer_bytes: int = 1 << 16,
+                  probe=None):
+    """The quickstart topology; returns (host, obs, done-dict).  With
+    ``probe`` set, a side process calls ``probe(host, obs)`` every 100 µs
+    of simulated time until the client finishes."""
     sim = Simulator()
     network = Network(sim, default_rate_bps=gbps(100),
                       default_delay_sec=usec(25))
     host = NetKernelHost(sim, network)
-    obs = (host.enable_observability(sample_interval=100e-6)
-           if enable_obs else None)
+    obs = host.enable_observability() if enable_obs else None
     nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
     vm_server = host.add_vm("srv", vcpus=1, nsm=nsm)
     vm_client = host.add_vm("cli", vcpus=1, nsm=nsm)
@@ -145,8 +118,15 @@ def _run_workload(enable_obs: bool, transfer_bytes: int = 1 << 16):
         yield from api_c.close(sock)
         done["finished_at"] = sim.now
 
+    def prober():
+        while "finished_at" not in done:
+            probe(host, obs)
+            yield sim.timeout(100e-6)
+
     vm_server.spawn(server())
     vm_client.spawn(client())
+    if probe is not None:
+        sim.process(prober())
     sim.run(until=2.0)
     return host, obs, done
 
@@ -192,7 +172,8 @@ class TestTracingEndToEnd:
             assert stage["cycles"] > 0
         kinds = {op["kind"] for op in report["ops"]}
         assert {"e2e", "oneway", "event"} <= kinds
-        # Sampled gauges: ring occupancy and token-bucket state.
+        # Ring occupancy and token-bucket state, read from the devices
+        # and buckets themselves.
         assert any(key.startswith("cli.") for key in report["rings"])
         assert any(fields.get("peak_depth", 0) > 0
                    for fields in report["rings"].values())
@@ -208,23 +189,45 @@ class TestTracingEndToEnd:
         json.dumps(report)  # JSON-ready end to end
         assert client_buckets  # at least one VM reported
 
-    def test_sampler_ran(self, traced_run):
-        _, obs, _ = traced_run
-        assert obs.sampler is not None
-        assert obs.sampler.samples > 100  # 100 µs interval over ~2 s
-
 
 class TestZeroCostWhenDisabled:
     def test_timeline_identical_with_and_without_obs(self):
-        # Hooks never yield, charge cycles, or create events, so the
-        # simulated outcome must match exactly — not approximately.
-        host_off, _, done_off = _run_workload(enable_obs=False)
-        host_on, _, done_on = _run_workload(enable_obs=True)
-        assert done_off["server_bytes"] == done_on["server_bytes"]
+        # Hooks never yield, charge cycles, or create events, and a
+        # report only reads, so the simulated outcome must match exactly
+        # — not approximately — even with the report read every 100 µs.
+        # The 1 MiB transfer runs into the client's rate cap, so a
+        # report that refilled the token buckets would show up here.
+        host_off, _, done_off = _run_workload(
+            enable_obs=False, transfer_bytes=1 << 20,
+            probe=lambda host, obs: None)
+        host_on, _, done_on = _run_workload(
+            enable_obs=True, transfer_bytes=1 << 20,
+            probe=lambda host, obs: obs.report())
+        assert done_off["server_bytes"] == done_on["server_bytes"] == 1 << 20
         assert done_off["finished_at"] == done_on["finished_at"]
+        assert host_off.sim.events_processed == host_on.sim.events_processed
+        assert host_off.sim.events_cancelled == host_on.sim.events_cancelled
         stats_off = host_off.coreengine.stats()
         stats_on = host_on.coreengine.stats()
+        assert stats_off["rate_limited_stalls"] > 0
         assert stats_off == stats_on
+
+    def test_reading_token_buckets_never_moves_admission(self):
+        # isolation_state() computes each bucket's level without storing
+        # it, so polling it every 100 µs leaves admission untouched.
+        host_plain, _, done_plain = _run_workload(
+            enable_obs=False, transfer_bytes=1 << 20,
+            probe=lambda host, obs: None)
+        host_read, _, done_read = _run_workload(
+            enable_obs=False, transfer_bytes=1 << 20,
+            probe=lambda host, obs: host.coreengine.isolation_state())
+        assert done_plain["finished_at"] == done_read["finished_at"]
+        assert host_plain.sim.events_processed \
+            == host_read.sim.events_processed
+        assert host_plain.sim.events_cancelled \
+            == host_read.sim.events_cancelled
+        assert host_plain.coreengine.stats()["rate_limited_stalls"] > 0
+        assert host_plain.coreengine.stats() == host_read.coreengine.stats()
 
     def test_obs_off_by_default(self):
         sim = Simulator()
@@ -243,6 +246,103 @@ class TestZeroCostWhenDisabled:
                                           default_delay_sec=usec(25)))
         obs = host.enable_observability()
         assert host.enable_observability() is obs
+
+
+# ------------------------------------------------- one source per counter --
+
+def _echo_pair(sim, **host_kwargs):
+    """One NSM, an echo server VM on port 80 and a client VM."""
+    host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
+                                      default_delay_sec=usec(25)),
+                         **host_kwargs)
+    obs = host.enable_observability()
+    nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
+    vm_server = host.add_vm("srv", vcpus=1, nsm=nsm)
+    api_s = host.socket_api(vm_server)
+
+    def server():
+        listener = yield from api_s.socket()
+        yield from api_s.bind(listener, 80)
+        yield from api_s.listen(listener, 64)
+        while True:
+            conn = yield from api_s.accept(listener)
+            data = yield from api_s.recv(conn, 1024)
+            if data != b"silent":
+                yield from api_s.send(conn, b"ok:" + data)
+
+    vm_server.spawn(server())
+    return host, obs, nsm
+
+
+class TestReportReadsOwners:
+    def test_cycles_sum_to_cycles_by_role_with_hot_added_vcpu(self):
+        sim = Simulator()
+        host, obs, nsm = _echo_pair(sim)
+        vm_client = host.add_vm("cli", vcpus=1, nsm=nsm)
+        api = host.socket_api(vm_client)
+        replies = []
+
+        def request(vcpu):
+            sock = yield from api.socket(vcpu)
+            yield from api.connect(sock, ("nsm0", 80), vcpu)
+            yield from api.send(sock, b"x" * 512, vcpu)
+            replies.append((yield from api.recv(sock, 1024, vcpu)))
+            yield from api.close(sock, vcpu)
+
+        def driver():
+            yield sim.timeout(0.001)
+            yield from request(0)
+            lane = host.add_vcpu(vm_client)
+            for _ in range(20):
+                yield from request(lane)
+
+        vm_client.spawn(driver())
+        sim.run(until=1.0)
+        assert len(replies) == 21
+        assert vm_client.cores[1].busy_cycles > 0
+        report = obs.report()
+        for role, total in host.cycles_by_role().items():
+            assert sum(report["cycles"][role].values()) \
+                == pytest.approx(total, rel=1e-12), role
+
+    def test_recv_deadline_expiry_reaches_the_report(self):
+        sim = Simulator()
+        host, obs, nsm = _echo_pair(sim)
+        vm_client = host.add_vm("cli", vcpus=1, nsm=nsm, op_timeout=1e-3)
+        api = host.socket_api(vm_client)
+        outcome = {}
+
+        def client():
+            yield sim.timeout(0.001)
+            sock = yield from api.socket()
+            yield from api.connect(sock, ("nsm0", 80))
+            yield from api.send(sock, b"silent")
+            try:
+                yield from api.recv(sock, 1024)
+            except TimedOutError:
+                outcome["timed_out"] = sim.now
+
+        vm_client.spawn(client())
+        sim.run(until=0.05)
+        assert "timed_out" in outcome
+        report = obs.report()
+        assert report["failover"]["guestlib.op_timeouts"] \
+            == vm_client.guestlib.stats()["op_timeouts"] == 1
+
+    def test_every_core_governor_in_both_views(self):
+        sim = Simulator()
+        host, obs, nsm = _echo_pair(sim, ce_shards=2)
+        host.add_vm("cli", vcpus=1, nsm=nsm)
+        engine = host.coreengine
+        engine.enable_overload_control()
+        engine.shards[1].overload.force_overload(until=1.0)
+        sim.run(until=450e-6)
+        expected = {str(index): loop.overload.stats()
+                    for index, loop in enumerate(engine.shards)}
+        assert set(expected) == {"0", "1"}
+        assert expected["0"] != expected["1"]
+        assert fleet_snapshot(host)["overload"] == expected
+        assert obs.report()["overload"] == expected
 
 
 # -------------------------------------------------------------------- CLI --

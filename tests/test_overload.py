@@ -325,7 +325,7 @@ class TestFleetExposure:
         governor.force_overload(until=1.0)
         sim.run(until=450e-6)
         snap = fleet_snapshot(host)
-        assert snap["overload"]["level"] == LEVEL_OVERLOADED
+        assert snap["overload"]["0"]["level"] == LEVEL_OVERLOADED
         assert snap["counters"]["nqes_shed"] == 0
 
 
